@@ -1,13 +1,6 @@
 """Cycle-consistent multi-matching via higher-order projected power iteration."""
 
-from hippi.assignment import (
-    AuctionConfig,
-    AuctionStallError,
-    ScoreBlock,
-    lap_auction,
-    lap_exact,
-    project_to_universe,
-)
+from hippi.assignment import ScoreBlock, lap_exact, project_to_universe
 from hippi.baselines import (
     BASELINE_METHODS,
     PairwiseInput,
@@ -49,7 +42,7 @@ from hippi.solver import (
     SolverTrace,
     WbarOperator,
     hippi_solve,
-    hippi_step,
+    iterates,
     objective,
     universe_size,
 )
@@ -64,8 +57,6 @@ from hippi.synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionConfig",
-    "AuctionStallError",
     "BASELINE_METHODS",
     "BlockIndex",
     "CycleReport",
@@ -96,8 +87,7 @@ __all__ = [
     "generate",
     "greedy_init",
     "hippi_solve",
-    "hippi_step",
-    "lap_auction",
+    "iterates",
     "lap_exact",
     "objective",
     "pairwise_lap_matchings",

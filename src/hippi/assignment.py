@@ -1,31 +1,20 @@
-"""Rectangular linear assignment solvers and the projection onto valid assignments.
+"""The rectangular linear assignment solver and the projection onto valid assignments.
 
 The projection of a dense score matrix onto the set of universe assignments
 maximises ``<U, V>`` and decomposes into one independent rectangular LAP per
 object block (rows = points, columns = universe slots, rows <= columns,
-surplus columns simply stay free).  Two block solvers are provided: an exact
-one backed by scipy's Jonker-Volgenant implementation and a Bertsekas-style
-auction with epsilon scaling, whose solution is within ``cols * eps_min`` of
-the optimum (exactly optimal once ``eps_min`` is below the smallest objective
-gap divided by the number of columns).
+surplus columns simply stay free).  Each block is solved exactly by scipy's
+Jonker-Volgenant implementation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from hippi.core import BlockIndex, UniverseAssignment
-
-PROJECTION_METHODS = ("exact", "auction")
-
-
-class AuctionStallError(RuntimeError):
-    """The auction exceeded its round budget; scores are likely ill-conditioned."""
-
 
 @dataclass(frozen=True)
 class ScoreBlock:
@@ -51,24 +40,6 @@ class ScoreBlock:
         return cls(rows=scores.shape[0], cols=scores.shape[1], scores=scores)
 
 
-@dataclass(frozen=True)
-class AuctionConfig:
-    """Epsilon schedule for the auction: start high, shrink geometrically."""
-
-    eps_start: float
-    eps_scale: float
-    eps_min: float
-    max_rounds: int = 1_000_000
-
-    def __post_init__(self):
-        if not (self.eps_start > self.eps_min > 0):
-            raise ValueError(f"need eps_start > eps_min > 0, got {self.eps_start}, {self.eps_min}")
-        if not (0 < self.eps_scale < 1):
-            raise ValueError(f"eps_scale must be in (0, 1), got {self.eps_scale}")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-
-
 def lap_exact(block: ScoreBlock) -> np.ndarray:
     """Exactly optimal injective assignment of rows to columns (maximising)."""
     row_ind, col_ind = linear_sum_assignment(block.scores, maximize=True)
@@ -81,88 +52,12 @@ def objective_value(block: ScoreBlock, assignment: np.ndarray) -> float:
     return float(block.scores[np.arange(block.rows), assignment].sum())
 
 
-def lap_auction(block: ScoreBlock, config: AuctionConfig | None = None) -> np.ndarray:
-    """Auction algorithm with epsilon scaling; near-exact, empirically sub-cubic.
-
-    Without an explicit config the scores are first scaled and rounded to
-    integers (resolution ``range / (1000 * (cols + 1))``) and the schedule is
-    ``eps_start = range / 4``, ``eps_scale = 0.2``, ``eps_min = 1 / (cols + 1)``
-    in integer units, which makes the result exactly optimal for the rounded
-    scores.  With an explicit config the raw scores are used as given.
-
-    Raises :class:`AuctionStallError` when ``max_rounds`` is exhausted; callers
-    should then fall back to :func:`lap_exact`.
-    """
-    scores = block.scores
-    if config is None:
-        span = float(scores.max() - scores.min()) if scores.size else 0.0
-        if span == 0.0:
-            return np.arange(block.rows, dtype=np.int64)
-        unit = span / (1000.0 * (block.cols + 1))
-        scores = np.round(scores / unit)
-        config = AuctionConfig(
-            eps_start=1000.0 * (block.cols + 1) / 4.0,
-            eps_scale=0.2,
-            eps_min=1.0 / (block.cols + 1),
-        )
-    return _auction_scaled(scores, block.rows, config)
-
-
-def _auction_scaled(scores: np.ndarray, rows: int, config: AuctionConfig) -> np.ndarray:
-    # Pad to square with zero-score dummy rows: with every column always
-    # owned, persistent prices across eps phases keep the within-n*eps
-    # duality bound valid (stale prices on never-owned columns would not).
-    cols = scores.shape[1]
-    if rows < cols:
-        padded = np.zeros((cols, cols))
-        padded[:rows] = scores
-        scores = padded
-    prices = np.zeros(cols)
-    budget = [config.max_rounds]
-    eps = config.eps_start
-    while True:
-        assignment = _auction_phase(scores, prices, eps, budget)
-        if eps <= config.eps_min:
-            return assignment[:rows]
-        eps = max(eps * config.eps_scale, config.eps_min)
-
-
-def _auction_phase(scores: np.ndarray, prices: np.ndarray, eps: float, budget: list[int]) -> np.ndarray:
-    """One full auction at fixed eps; prices persist across phases."""
-    rows, cols = scores.shape
-    item_of = np.full(rows, -1, dtype=np.int64)
-    owner_of = np.full(cols, -1, dtype=np.int64)
-    pending = deque(range(rows))
-    while pending:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise AuctionStallError("auction round budget exhausted")
-        p = pending.popleft()
-        values = scores[p] - prices
-        best = int(np.argmax(values))
-        if cols > 1:
-            second = float(np.partition(values, -2)[-2])
-        else:
-            second = float(values[best])
-        prices[best] += values[best] - second + eps
-        previous = owner_of[best]
-        if previous >= 0:
-            item_of[previous] = -1
-            pending.append(int(previous))
-        owner_of[best] = p
-        item_of[p] = best
-    return item_of
-
-
-def project_to_universe(
-    v: np.ndarray, index: BlockIndex, method: str = "exact"
-) -> UniverseAssignment:
+def project_to_universe(v: np.ndarray, index: BlockIndex) -> UniverseAssignment:
     """Euclidean projection of a dense ``m x d`` score matrix onto assignments.
 
     Maximises ``<U, V>`` over all valid universe assignments, which is the
     Euclidean projection because ``<U, U> = m`` is constant on the set.  Solves
-    the k blocks independently; the auction method falls back to the exact
-    solver on a stalled block.
+    the k blocks independently.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != index.m:
@@ -170,16 +65,5 @@ def project_to_universe(
     d = v.shape[1]
     if d < max(index.sizes):
         raise ValueError(f"universe size {d} is smaller than the largest object")
-    if method not in PROJECTION_METHODS:
-        raise ValueError(f"method must be one of {PROJECTION_METHODS}")
-    parts = []
-    for i in range(index.k):
-        block = ScoreBlock.from_scores(v[index.slice_of(i)])
-        if method == "auction":
-            try:
-                parts.append(lap_auction(block))
-            except AuctionStallError:
-                parts.append(lap_exact(block))
-        else:
-            parts.append(lap_exact(block))
+    parts = [lap_exact(ScoreBlock.from_scores(v[index.slice_of(i)])) for i in range(index.k)]
     return UniverseAssignment(assignment=np.concatenate(parts), d=d, index=index)

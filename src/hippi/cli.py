@@ -34,7 +34,7 @@ from hippi.solver import (
     SolverTrace,
     WbarOperator,
     hippi_solve,
-    hippi_step,
+    iterates,
     objective,
     universe_size,
 )
@@ -125,7 +125,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         {
             "max_iters": getattr(args, "max_iters", None),
             "f_tol": getattr(args, "f_tol", None),
-            "projection_method": getattr(args, "projection", None),
         },
     )
     generator = None
@@ -344,11 +343,11 @@ def bench_ladder(cfg: RunConfig) -> list[dict]:
         p = bench_instance(m, cfg.points_per_object, (cfg.seed or 0) + idx)
         w, a = _prepare_operator(cfg, p)
         op = WbarOperator.from_kernels(w, a)
-        u = random_init(p.index, d, cfg.seed)
-        u, _ = hippi_step(op, u, cfg.solver.projection_method)  # warm-up
+        steps = iterates(op, random_init(p.index, d, cfg.seed))
+        next(steps)  # warm-up
         tic = time.perf_counter()
         for _ in range(cfg.bench_iters):
-            u, _ = hippi_step(op, u, cfg.solver.projection_method)
+            next(steps)
         per_iter = (time.perf_counter() - tic) / cfg.bench_iters
         row = {
             "m": m,
@@ -440,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--knn", type=int)
     slv.add_argument("--max-iters", dest="max_iters", type=int)
     slv.add_argument("--f-tol", dest="f_tol", type=float)
-    slv.add_argument("--projection", choices=("exact", "auction"))
     slv.add_argument("--strict-psd", dest="strict_psd", action="store_true")
     slv.add_argument("--external", help="assignment file for the external-file method")
 
@@ -458,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--points-per-object", dest="points_per_object", type=int)
     ben.add_argument("--iters", dest="bench_iters", type=int)
     ben.add_argument("--full", action="store_true", help="also time full solves")
-    ben.add_argument("--projection", choices=("exact", "auction"))
 
     ver = sub.add_parser("verify", help="check cycle consistency of a matching")
     common(ver)

@@ -34,6 +34,13 @@ def _owned(a, dtype) -> np.ndarray:
     return out
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Reject NaN or infinite entries of a 2-D array, naming the first bad row."""
+    bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad_rows.size:
+        raise ValueError(f"{what} row {int(bad_rows[0])} is not finite")
+
+
 @dataclass(frozen=True)
 class BlockIndex:
     """Index bookkeeping for ``k`` stacked objects of sizes ``(m_1, ..., m_k)``."""
@@ -113,6 +120,7 @@ class ProblemInstance:
                 raise ValueError(f"object {i}: points must be a nonempty (m_i, dim) array")
             if p.shape[1] not in (2, 3):
                 raise ValueError(f"object {i}: ambient dimension must be 2 or 3, got {p.shape[1]}")
+            _require_finite(p, f"object {i}: points")
         dim = points[0].shape[1]
         if any(p.shape[1] != dim for p in points):
             raise ValueError("all objects must share the same ambient dimension")
@@ -122,6 +130,7 @@ class ProblemInstance:
                 raise ValueError(f"object {i}: features must be (m_i, f) with m_i={p.shape[0]}")
             if f.shape[1] != fdim:
                 raise ValueError("feature dimensionality must be identical across objects")
+            _require_finite(f, f"object {i}: features")
         gt = self.ground_truth
         if gt is not None:
             gt = tuple(_owned(g, np.int64) for g in gt)
@@ -140,6 +149,7 @@ class ProblemInstance:
                 n = p.shape[0]
                 if dm.shape != (n, n):
                     raise ValueError(f"object {i}: distance matrix must be ({n}, {n})")
+                _require_finite(dm, f"object {i}: distances")
                 if not np.array_equal(dm, dm.T) or dm.min() < 0:
                     raise ValueError(f"object {i}: distances must be symmetric and non-negative")
         object.__setattr__(self, "points", points)

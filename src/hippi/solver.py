@@ -4,10 +4,11 @@ The solver maximises ``f(U) = tr(U^T Wb U U^T Wb U) = ||U^T Wb U||_F^2`` over
 universe assignments ``U``, where ``Wb = W^T A W`` couples the inter-object
 similarity ``W`` with the block-diagonal intra-object adjacency ``A``.  Each
 iteration lifts the current assignment through ``V = Wb U (U^T Wb U)`` and
-projects ``V`` back onto the assignment set with per-block LAPs.  When ``Wb``
-is positive semidefinite the objective never decreases, and because the
-feasible set is finite the sequence stalls after finitely many steps; the
-solver stops at the first stall (``|f_t - f_{t-1}| <= f_tol``).
+projects ``V`` back onto the assignment set with per-block LAPs; that step is
+:func:`iterates`.  When ``Wb`` is positive semidefinite the objective never
+decreases, and because the feasible set is finite the sequence stalls after
+finitely many steps; the solver stops at the first stall
+(``|f_t - f_{t-1}| <= f_tol``).
 
 ``U`` is stored as a column-index vector, so all products against it are
 gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies; one
@@ -17,11 +18,13 @@ iteration costs ``O(m^2 d)`` plus ``k`` small LAPs.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from hippi.assignment import PROJECTION_METHODS, project_to_universe
+from hippi.assignment import project_to_universe
 from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment
 
 UNIVERSE_RULES = ("twice-average", "max-block")
@@ -29,27 +32,26 @@ UNIVERSE_RULES = ("twice-average", "max-block")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, stall tolerances, and the projection backend."""
+    """Iteration budget and stall tolerances."""
 
     max_iters: int = 200
     f_tol: float = 0.0
     f_rtol: float = 0.0
-    projection_method: str = "exact"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.f_tol < 0 or self.f_rtol < 0:
             raise ValueError("tolerances must be non-negative")
-        if self.projection_method not in PROJECTION_METHODS:
-            raise ValueError(
-                f"projection_method must be one of {PROJECTION_METHODS}"
-            )
 
 
 @dataclass(frozen=True)
 class SolverTrace:
-    """Objective value and wall time per iteration, plus the stall flag."""
+    """Objective value and wall time per iterate, plus the stall flag.
+
+    An iterate's wall time covers the projection that produced it and its
+    evaluation.
+    """
 
     objectives: np.ndarray
     wall_times: np.ndarray
@@ -95,7 +97,12 @@ def _pool_rows(x: np.ndarray, assignment: np.ndarray, d: int) -> np.ndarray:
 
 
 class WbarOperator:
-    """Matrix-free ``Wb = W^T A W``; ``adjacency=None`` means ``A = I``."""
+    """Matrix-free ``Wb = W^T A W``; ``adjacency=None`` means ``A = I``.
+
+    ``w`` must be exactly symmetric; that is not re-checked here.
+    :meth:`from_kernels` takes it from a :class:`SimilarityMatrix`, which
+    validates it on construction.
+    """
 
     def __init__(
         self,
@@ -108,8 +115,6 @@ class WbarOperator:
             raise ValueError(f"similarity must be square, got {w.shape}")
         if w.shape[0] != index.m:
             raise ValueError(f"similarity is {w.shape[0]} x {w.shape[0]}, index has m={index.m}")
-        if not np.array_equal(w, w.T):
-            raise ValueError("similarity must be exactly symmetric")
         if adjacency is not None and adjacency.index.sizes != index.sizes:
             raise ValueError("adjacency blocks do not match the object index")
         self.w = w
@@ -141,21 +146,27 @@ class WbarOperator:
         return self.apply_dense(np.eye(self.index.m))
 
 
+def iterates(
+    wbar: WbarOperator, u: UniverseAssignment
+) -> Iterator[tuple[UniverseAssignment, float]]:
+    """The power iteration from ``u``: yields ``(U_t, f(U_t))`` for t = 0, 1, ...
+
+    The lift ``Wb U_t (U_t^T Wb U_t)`` is projected to ``U_{t+1}`` only when
+    the next item is requested, so a consumer that stops after ``U_t`` pays
+    for no extra projection.  The sequence never ends on its own.
+    """
+    if u.index.sizes != wbar.index.sizes:
+        raise ValueError("initial assignment does not match the operator's index")
+    while True:
+        p = wbar.times_assignment(u)
+        mid = _pool_rows(p, u.assignment, u.d)
+        yield u, float((mid * mid.T).sum())
+        u = project_to_universe(p @ mid, u.index)
+
+
 def objective(wbar: WbarOperator, u: UniverseAssignment) -> float:
     """``f(U) = ||U^T Wb U||_F^2``, evaluated through gather/scatter products."""
-    p = wbar.times_assignment(u)
-    mid = _pool_rows(p, u.assignment, u.d)
-    return float((mid * mid.T).sum())
-
-
-def hippi_step(
-    wbar: WbarOperator, u: UniverseAssignment, method: str = "exact"
-) -> tuple[UniverseAssignment, float]:
-    """One power-iteration sweep; returns the projected update and f(U)."""
-    p = wbar.times_assignment(u)
-    mid = _pool_rows(p, u.assignment, u.d)
-    f = float((mid * mid.T).sum())
-    return project_to_universe(p @ mid, u.index, method=method), f
+    return next(iterates(wbar, u))[1]
 
 
 def hippi_solve(
@@ -171,29 +182,19 @@ def hippi_solve(
     ``max_iters`` leaves it False.
     """
     config = config or SolverConfig()
-    if u0.index.sizes != wbar.index.sizes:
-        raise ValueError("initial assignment does not match the operator's index")
-    u = u0
     objectives: list[float] = []
     wall: list[float] = []
     converged = False
-    for t in range(config.max_iters):
-        tic = time.perf_counter()
-        p = wbar.times_assignment(u)
-        mid = _pool_rows(p, u.assignment, u.d)
-        f = float((mid * mid.T).sum())
-        objectives.append(f)
-        if t > 0:
-            gap = abs(objectives[-1] - objectives[-2])
-            if gap <= config.f_tol + config.f_rtol * max(abs(f), 1.0):
-                converged = True
-                wall.append(time.perf_counter() - tic)
-                break
-        if t == config.max_iters - 1:
-            wall.append(time.perf_counter() - tic)
-            break
-        u = project_to_universe(p @ mid, u.index, method=config.projection_method)
+    tic = time.perf_counter()
+    for u, f in islice(iterates(wbar, u0), config.max_iters):
         wall.append(time.perf_counter() - tic)
+        if objectives:
+            gap = abs(f - objectives[-1])
+            converged = gap <= config.f_tol + config.f_rtol * max(abs(f), 1.0)
+        objectives.append(f)
+        if converged:
+            break
+        tic = time.perf_counter()
     trace = SolverTrace(
         objectives=np.asarray(objectives),
         wall_times=np.asarray(wall),

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from hippi import cli, io
-from hippi.assignment import (
-    AuctionConfig,
-    ScoreBlock,
-    lap_auction,
-    lap_exact,
-    objective_value,
-)
+from hippi.assignment import ScoreBlock, lap_exact, objective_value
 from hippi.baselines import (
     pairwise_lap_matchings,
     random_init,
@@ -111,7 +105,7 @@ def test_02_stalls_before_iteration_budget(solver_suite, acceptance_log):
 def test_03_projection_matches_brute_force(acceptance_log):
     rng = np.random.default_rng(33)
     tic = time.perf_counter()
-    exact_misses = auction_misses = 0
+    exact_misses = 0
     for _ in range(200):
         m = int(rng.integers(1, 6))
         d = int(rng.integers(m, 8))
@@ -120,24 +114,11 @@ def test_03_projection_matches_brute_force(acceptance_log):
         best, _ = brute_force_lap(scores)
         if objective_value(ScoreBlock.from_scores(scores), cols) != best:
             exact_misses += 1
-        iscores = rng.integers(0, 10, size=(m, d)).astype(float)
-        block = ScoreBlock.from_scores(iscores)
-        cfg = AuctionConfig(
-            eps_start=max(float(iscores.max()), 1.0),
-            eps_scale=0.2,
-            eps_min=1.0 / (2 * m + 1),
-        )
-        if objective_value(block, lap_auction(block, cfg)) != objective_value(
-            block, lap_exact(block)
-        ):
-            auction_misses += 1
     elapsed = time.perf_counter() - tic
-    ok = exact_misses == 0 and auction_misses == 0 and elapsed < 10.0
+    ok = exact_misses == 0 and elapsed < 10.0
     assert _verdict(
         acceptance_log, 3, "projection optimality",
-        ok,
-        f"exact misses {exact_misses}/200, auction misses {auction_misses}/200, "
-        f"{elapsed:.1f}s",
+        ok, f"exact misses {exact_misses}/200, {elapsed:.1f}s",
     )
 
 

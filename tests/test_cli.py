@@ -143,9 +143,31 @@ class TestSolve:
         assert run(["solve", "--problem", problem_path, "--out", tmp_path / "s",
                     "--seed", "1", "--strict-psd"]) == cli.EXIT_OK
 
-    def test_auction_projection_runs(self, problem_path, tmp_path):
-        assert run(["solve", "--problem", problem_path, "--out", tmp_path / "au",
-                    "--seed", "1", "--projection", "auction"]) == cli.EXIT_OK
+    @pytest.mark.parametrize("field,value", [
+        ("features", float("nan")),
+        ("points", float("inf")),
+    ])
+    def test_non_finite_input_is_data_error_naming_object_and_row(
+        self, problem_path, tmp_path, capsys, field, value
+    ):
+        doc = json.loads(problem_path.read_text())
+        doc[field][1][2][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["solve", "--problem", bad, "--out", tmp_path / "x",
+                    "--seed", "1"]) == cli.EXIT_DATA
+        assert f"object 1: {field} row 2 is not finite" in capsys.readouterr().err
+
+    def test_removed_projection_flag_is_usage_error(self, problem_path, tmp_path):
+        assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
+                    "--projection", "auction"]) == cli.EXIT_USAGE
+
+    def test_removed_projection_config_key_is_data_error(self, problem_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"projection_method": "auction"}}))
+        assert run(["solve", "--problem", problem_path, "--config", cfg,
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert "bad SolverConfig settings" in capsys.readouterr().err
 
 
 class TestEval:

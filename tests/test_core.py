@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, expand
+from hippi.core import (
+    BlockIndex,
+    PairwiseMatchingSet,
+    ProblemInstance,
+    SimilarityMatrix,
+    UniverseAssignment,
+    expand,
+)
 
 from helpers import dense_expand, naive_cycle_violations, random_assignment
 
@@ -49,6 +56,53 @@ class TestBlockIndex:
             assert idx.local_to_global(i, p) == g
             seen.add((i, p))
         assert seen == {(i, p) for i in range(idx.k) for p in range(sizes[i])}
+
+
+class TestProblemInstance:
+    @pytest.mark.parametrize("field", ["points", "features", "distances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_names_object_and_row(self, field, bad):
+        arrays = {
+            "points": [np.zeros((2, 2)), np.arange(6.0).reshape(3, 2)],
+            "features": [np.ones((2, 4)), np.ones((3, 4))],
+            "distances": [np.zeros((2, 2)), np.zeros((3, 3))],
+        }
+        arrays[field][1][2, -1] = bad  # on the diagonal for distances, so still symmetric
+        with pytest.raises(ValueError, match=f"object 1: {field} row 2 is not finite"):
+            ProblemInstance(**{name: tuple(a) for name, a in arrays.items()})
+
+
+class TestSimilarityMatrix:
+    index = BlockIndex((2, 1))
+
+    @staticmethod
+    def valid():
+        w = np.zeros((3, 3))
+        w[0, 2] = w[2, 0] = 0.5
+        w[1, 2] = w[2, 1] = 0.25
+        return w
+
+    def test_asymmetric_rejected(self):
+        w = self.valid()
+        w[0, 2] = 0.75
+        with pytest.raises(ValueError, match="symmetric"):
+            SimilarityMatrix(data=w, index=self.index)
+
+    def test_negative_entry_rejected(self):
+        w = self.valid()
+        w[1, 2] = w[2, 1] = -0.25
+        with pytest.raises(ValueError, match="non-negative"):
+            SimilarityMatrix(data=w, index=self.index)
+
+    def test_nonzero_diagonal_block_rejected(self):
+        w = self.valid()
+        w[0, 1] = w[1, 0] = 1.0  # both points belong to object 0
+        with pytest.raises(ValueError, match="diagonal block 0"):
+            SimilarityMatrix(data=w, index=self.index)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"must be \(3, 3\)"):
+            SimilarityMatrix(data=np.zeros((3, 4)), index=self.index)
 
 
 class TestUniverseAssignment:
