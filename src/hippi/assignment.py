@@ -30,7 +30,7 @@ class ScoreBlock:
             raise ValueError(f"scores must be ({self.rows}, {self.cols}), got {scores.shape}")
         if self.rows > self.cols:
             raise ValueError(f"need rows <= cols, got {self.rows} > {self.cols}")
-        if not np.all(np.isfinite(scores)):
+        if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
         object.__setattr__(self, "scores", scores)
 
@@ -42,10 +42,10 @@ class ScoreBlock:
 
 def lap_exact(block: ScoreBlock) -> np.ndarray:
     """Exactly optimal injective assignment of rows to columns (maximising)."""
-    row_ind, col_ind = linear_sum_assignment(block.scores, maximize=True)
-    out = np.empty(block.rows, dtype=np.int64)
-    out[row_ind] = col_ind
-    return out
+    # With rows <= cols every row is assigned, so the row indices come back as
+    # 0..rows-1 and the column indices are already in row order.
+    _, col_ind = linear_sum_assignment(block.scores, maximize=True)
+    return col_ind.astype(np.int64, copy=False)
 
 
 def objective_value(block: ScoreBlock, assignment: np.ndarray) -> float:

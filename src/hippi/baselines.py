@@ -155,8 +155,7 @@ def spectral_sync(x: PairwiseInput, d: int) -> UniverseAssignment:
     all appear in the anchor object, it reproduces the input exactly.
     """
     idx = x.index
-    if d < max(idx.sizes):
-        raise ValueError(f"universe size {d} is smaller than the largest object")
+    _require_universe(idx, d)
     s = x.to_matrix()
     for i in range(idx.k):
         sl = idx.slice_of(i)
@@ -175,9 +174,17 @@ def _as_index(problem) -> BlockIndex:
     return problem if isinstance(problem, BlockIndex) else problem.index
 
 
+def _require_universe(index: BlockIndex, d: int) -> None:
+    if d < max(index.sizes):
+        raise ValueError(
+            f"universe size {d} is smaller than the largest object ({max(index.sizes)})"
+        )
+
+
 def random_init(problem, d: int, seed=None) -> UniverseAssignment:
     """Uniformly random injection of each object's points into ``d`` slots."""
     idx = _as_index(problem)
+    _require_universe(idx, d)
     rng = np.random.default_rng(seed)
     cols = np.concatenate([rng.permutation(d)[:s] for s in idx.sizes])
     return UniverseAssignment(assignment=cols, d=d, index=idx)
@@ -191,8 +198,7 @@ def greedy_init(w: SimilarityMatrix, d: int) -> UniverseAssignment:
     deterministic, and already cycle-consistent (as any universe assignment).
     """
     idx = w.index
-    if d < max(idx.sizes):
-        raise ValueError(f"universe size {d} is smaller than the largest object")
+    _require_universe(idx, d)
     anchor = int(np.argmax(idx.sizes))
     scores = np.zeros((idx.m, d))
     scores[idx.slice_of(anchor), : idx.sizes[anchor]] = np.eye(idx.sizes[anchor])

@@ -84,6 +84,14 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.init not in INIT_METHODS:
             raise ValueError(f"init must be one of {INIT_METHODS}, got {self.init!r}")
+        if self.bench_iters < 1:
+            raise ValueError(f"bench_iters must be >= 1, got {self.bench_iters}")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(
+                f"sizes must be a non-empty list of positive integers, got {self.sizes}"
+            )
+        if self.points_per_object < 1:
+            raise ValueError(f"points_per_object must be >= 1, got {self.points_per_object}")
 
 
 def _build_dataclass(factory, section: dict, overrides: dict):

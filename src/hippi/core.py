@@ -25,6 +25,9 @@ OUTLIER = -1
 #: Relative tolerance on the smallest eigenvalue of an adjacency block.
 PSD_TOL = 1e-8
 
+#: Side of the square tiles on which a similarity matrix's symmetry is checked.
+SYMMETRY_TILE = 256
+
 
 def _owned(a, dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
@@ -32,6 +35,17 @@ def _owned(a, dtype) -> np.ndarray:
         out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """``np.array_equal(a, a.T)``, compared tile by tile so each read stays in cache."""
+    n = a.shape[0]
+    t = SYMMETRY_TILE
+    return all(
+        np.array_equal(a[r : r + t, c : c + t], a[c : c + t, r : r + t].T)
+        for r in range(0, n, t)
+        for c in range(r, n, t)
+    )
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -212,7 +226,7 @@ class SimilarityMatrix:
         m = self.index.m
         if data.shape != (m, m):
             raise ValueError(f"similarity matrix must be ({m}, {m}), got {data.shape}")
-        if not np.array_equal(data, data.T):
+        if not _exactly_symmetric(data):
             raise ValueError("similarity matrix must be exactly symmetric")
         if data.min() < 0:
             raise ValueError("similarity scores must be non-negative")
@@ -308,10 +322,16 @@ class UniverseAssignment:
             )
         if a.size and (a.min() < 0 or a.max() >= d):
             raise ValueError(f"universe columns must lie in [0, {d})")
-        for i in range(idx.k):
-            block = a[idx.slice_of(i)]
-            if np.unique(block).size != block.size:
-                raise ValueError(f"object {i} assigns two points to the same universe column")
+        # A stable sort by column keeps each column's points in object order, so
+        # two points of one object on one column end up side by side.  Sorting,
+        # not counting per (object, column), keeps the cost independent of d.
+        order = np.argsort(a, kind="stable")
+        col, owner = a[order], np.repeat(np.arange(idx.k), idx.sizes)[order]
+        clash = owner[1:][(col[1:] == col[:-1]) & (owner[1:] == owner[:-1])]
+        if clash.size:
+            raise ValueError(
+                f"object {int(clash.min())} assigns two points to the same universe column"
+            )
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "d", d)
 

@@ -64,27 +64,34 @@ def _intra_nearest(features: np.ndarray) -> np.ndarray:
 
 
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
-    """Cross-object similarity matrix from feature descriptors."""
+    """Cross-object similarity matrix from feature descriptors.
+
+    One ``cdist`` over all descriptors gives every entry; the kernel is then
+    applied in place and the diagonal blocks are zeroed, so constant weights
+    need no ``m x m`` array beyond ``W`` itself.
+    """
     idx = instance.index
-    w = np.zeros((idx.m, idx.m))
+    features = np.concatenate(instance.features)
+    w = cdist(features, features)
+    np.square(w, out=w)
+    np.negative(w, out=w)
+    w /= 2.0 * config.sigma**2
+    np.exp(w, out=w)
     if config.weight_mode == "intra-ratio":
         # Down-weight descriptors that have a near-duplicate within their own
         # object: u_p = 1 - exp(-r_p^2 / 2 sigma^2) with r_p the nearest
         # intra-object descriptor distance, and w_pq = u_p * u_q.  Strictly
         # decreasing in intra-object proximity, 1 for isolated descriptors.
         # The exact functional form is this library's choice.
-        trust = [
-            1.0 - np.exp(-(_intra_nearest(f) ** 2) / (2.0 * config.sigma**2))
-            for f in instance.features
-        ]
+        trust = np.concatenate(
+            [
+                1.0 - np.exp(-(_intra_nearest(f) ** 2) / (2.0 * config.sigma**2))
+                for f in instance.features
+            ]
+        )
+        w *= np.outer(trust, trust)
     for i in range(idx.k):
-        for j in range(i + 1, idx.k):
-            dist = cdist(instance.features[i], instance.features[j])
-            block = np.exp(-(dist**2) / (2.0 * config.sigma**2))
-            if config.weight_mode == "intra-ratio":
-                block *= np.outer(trust[i], trust[j])
-            w[idx.slice_of(i), idx.slice_of(j)] = block
-            w[idx.slice_of(j), idx.slice_of(i)] = block.T
+        w[idx.slice_of(i), idx.slice_of(i)] = 0.0
     if config.knn_sparsify > 0:
         w = _sparsify_topk(w, config.knn_sparsify)
     return SimilarityMatrix(data=w, index=idx)

@@ -5,6 +5,13 @@ point pair predicted as matching counts once, and it is a true positive
 exactly when both points carry the same non-outlier ground-truth label.
 Cycle consistency is checked directly on the integer match maps, so all
 counts are exact.
+
+A universe assignment is scored in ``O(m log m)`` from counts, without
+expanding its ``k^2`` match maps: points match iff they share a slot, so the
+predicted pairs are ``sum C(n_s, 2)`` over slot occupancies and the true
+positives ``sum C(c, 2)`` over (slot, label) cells of inlier points.  Labels
+are only ever compared or compressed, never used as array sizes, so their
+magnitude costs nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hippi.core import PairwiseMatchingSet, UniverseAssignment, expand
+# ``expand`` is unused here but stays bound: perfbench/spans.py times it as
+# ``metrics.expand``.
+from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, expand  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -159,13 +168,7 @@ def cycle_error(x: PairwiseMatchingSet) -> float:
 
 
 def _as_matching_set(predicted) -> tuple[PairwiseMatchingSet, float]:
-    """Normalise a prediction and pick its cycle error.
-
-    Universe assignments are consistent by construction, so their cycle error
-    is 0 without the cubic sweep.
-    """
-    if isinstance(predicted, UniverseAssignment):
-        return expand(predicted), 0.0
+    """Normalise a pairwise prediction and compute its cycle error."""
     if isinstance(predicted, PairwiseMatchingSet):
         return predicted, cycle_error(predicted)
     if hasattr(predicted, "to_matching_set"):
@@ -174,21 +177,39 @@ def _as_matching_set(predicted) -> tuple[PairwiseMatchingSet, float]:
     raise TypeError(f"cannot score a {type(predicted).__name__} as a matching")
 
 
-def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
-    """Score a predicted matching against per-object universe labels.
+def _pairs(counts: np.ndarray) -> int:
+    """Unordered pairs within groups of the given sizes: ``sum C(n, 2)``."""
+    return int((counts * (counts - 1) // 2).sum())
 
-    ``predicted`` may be a :class:`PairwiseMatchingSet`, a
-    :class:`UniverseAssignment`, or anything exposing ``to_matching_set()``.
-    ``truth`` holds one integer label array per object; ``-1`` marks outliers,
-    which never participate in true pairs.
-    """
-    if truth is None:
-        raise ValueError("ground truth labels are required")
-    ms, consistency = _as_matching_set(predicted)
-    sizes = ms.index.sizes
+
+def _cell_counts(*keys: np.ndarray) -> np.ndarray:
+    """Number of points in each distinct combination of the given keys."""
+    return np.unique(np.stack(keys), axis=1, return_counts=True)[1]
+
+
+def _checked_labels(truth, index: BlockIndex) -> list[np.ndarray]:
     labels = [np.asarray(t, dtype=np.int64) for t in truth]
-    if len(labels) != ms.k or any(t.shape != (s,) for t, s in zip(labels, sizes)):
+    if len(labels) != index.k or any(t.shape != (s,) for t, s in zip(labels, index.sizes)):
         raise ValueError("ground truth does not match the objects' sizes")
+    return labels
+
+
+def _universe_counts(u: UniverseAssignment, labels: list[np.ndarray]) -> tuple[int, int]:
+    """True and false positive pairs of a universe assignment.
+
+    Two points of one object never share a slot, so every pair within a slot
+    is a predicted cross-object match, and it is true when both points carry
+    the same inlier label.
+    """
+    predicted = _pairs(np.bincount(u.assignment, minlength=u.d))
+    flat = np.concatenate(labels)
+    inlier = flat >= 0
+    tp = _pairs(_cell_counts(u.assignment[inlier], flat[inlier]))
+    return tp, predicted - tp
+
+
+def _pairwise_counts(ms: PairwiseMatchingSet, labels: list[np.ndarray]) -> tuple[int, int]:
+    """True and false positive pairs, one matched pair at a time."""
     tp = fp = 0
     for i, p, j, q in ms.matched_pairs():
         a, b = labels[i][p], labels[j][q]
@@ -196,18 +217,40 @@ def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
             tp += 1
         else:
             fp += 1
-    true_total = 0
-    all_labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
-    inliers = all_labels[all_labels >= 0]
-    if inliers.size:
-        counts = np.bincount(inliers)
-        true_total += int((counts * (counts - 1) // 2).sum())
-        for t in labels:  # discount same-object repeats, which form no pairs
-            own = t[t >= 0]
-            if own.size:
-                c = np.bincount(own)
-                true_total -= int((c * (c - 1) // 2).sum())
-    fn = true_total - tp
+    return tp, fp
+
+
+def _true_pairs(labels: list[np.ndarray], index: BlockIndex) -> int:
+    """Cross-object pairs of inlier points that share a label."""
+    flat = np.concatenate(labels)
+    owner = np.repeat(np.arange(index.k), index.sizes)
+    inlier = flat >= 0
+    # Same-object repeats of a label form no pairs, so they are discounted.
+    return _pairs(_cell_counts(flat[inlier])) - _pairs(_cell_counts(owner[inlier], flat[inlier]))
+
+
+def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
+    """Score a predicted matching against per-object universe labels.
+
+    ``predicted`` may be a :class:`PairwiseMatchingSet`, a
+    :class:`UniverseAssignment`, or anything exposing ``to_matching_set()``.
+    ``truth`` holds one integer label array per object; ``-1`` marks outliers,
+    which never participate in true pairs.  Universe assignments are
+    consistent by construction, so their cycle error is 0 without the cubic
+    sweep.
+    """
+    if truth is None:
+        raise ValueError("ground truth labels are required")
+    if isinstance(predicted, UniverseAssignment):
+        index, consistency = predicted.index, 0.0
+        labels = _checked_labels(truth, index)
+        tp, fp = _universe_counts(predicted, labels)
+    else:
+        ms, consistency = _as_matching_set(predicted)
+        index = ms.index
+        labels = _checked_labels(truth, index)
+        tp, fp = _pairwise_counts(ms, labels)
+    fn = _true_pairs(labels, index) - tp
     return MatchReport.from_counts(
         tp, fp, fn, cycle_error=consistency, runtime_seconds=runtime_seconds
     )

@@ -8,6 +8,7 @@ they stay independent of what they check.
 from itertools import permutations, product
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment
 
@@ -125,3 +126,40 @@ def gaussian_psd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Dense random PSD matrix G^T G, for property tests on the objective."""
     g = rng.normal(size=(n, n))
     return g.T @ g
+
+
+def unblocked_gather(w: np.ndarray, assignment: np.ndarray, d: int) -> np.ndarray:
+    """``W @ U`` by one ``reduceat`` over all of ``W``'s permuted columns."""
+    counts = np.bincount(assignment, minlength=d)
+    order = np.argsort(assignment, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    nonempty = counts > 0
+    out = np.zeros((w.shape[0], d))
+    if nonempty.any():
+        out[:, nonempty] = np.add.reduceat(w[:, order], starts[nonempty], axis=1)
+    return out
+
+
+def pairwise_similarity(instance, sigma: float, weight_mode: str) -> np.ndarray:
+    """Similarity built one object pair at a time, one ``cdist`` call per pair."""
+    idx = instance.index
+    w = np.zeros((idx.m, idx.m))
+    if weight_mode == "intra-ratio":
+        trust = []
+        for f in instance.features:
+            if f.shape[0] < 2:
+                nearest = np.full(f.shape[0], np.inf)
+            else:
+                dist = squareform(pdist(f))
+                np.fill_diagonal(dist, np.inf)
+                nearest = dist.min(axis=1)
+            trust.append(1.0 - np.exp(-(nearest**2) / (2.0 * sigma**2)))
+    for i in range(idx.k):
+        for j in range(i + 1, idx.k):
+            dist = cdist(instance.features[i], instance.features[j])
+            block = np.exp(-(dist**2) / (2.0 * sigma**2))
+            if weight_mode == "intra-ratio":
+                block *= np.outer(trust[i], trust[j])
+            w[idx.slice_of(i), idx.slice_of(j)] = block
+            w[idx.slice_of(j), idx.slice_of(i)] = block.T
+    return w

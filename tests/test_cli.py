@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,39 @@ class TestEval:
                     "--out", tmp_path]) == cli.EXIT_DATA
 
 
+def shifted_labels_problem(problem_path, tmp_path, shift=10**12):
+    """A copy of the problem file whose inlier labels are all moved up by ``shift``."""
+    doc = json.loads(problem_path.read_text())
+    doc["ground_truth"] = [[g + shift if g >= 0 else g for g in t] for t in doc["ground_truth"]]
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestLargeLabels:
+    def test_solve_scores_shifted_labels_like_the_originals(self, problem_path, tmp_path):
+        shifted = shifted_labels_problem(problem_path, tmp_path)
+        for name, path in (("plain", problem_path), ("shifted", shifted)):
+            assert run(["solve", "--problem", path, "--out", tmp_path / name,
+                        "--seed", "1"]) == cli.EXIT_OK
+        plain = io.load_report(tmp_path / "plain" / "report.csv")
+        moved = io.load_report(tmp_path / "shifted" / "report.csv")
+        for key in ("true_positives", "false_positives", "false_negatives", "fscore"):
+            assert moved[key] == plain[key]
+
+    def test_eval_scores_shifted_labels_like_the_originals(self, problem_path, tmp_path):
+        shifted = shifted_labels_problem(problem_path, tmp_path)
+        run(["solve", "--problem", problem_path, "--out", tmp_path / "run", "--seed", "1"])
+        assignment = tmp_path / "run" / "assignment.json"
+        for name, path in (("plain", problem_path), ("shifted", shifted)):
+            assert run(["eval", "--problem", path, "--assignment", assignment,
+                        "--out", tmp_path / name]) == cli.EXIT_OK
+        plain = io.load_report(tmp_path / "plain" / "report.csv")
+        moved = io.load_report(tmp_path / "shifted" / "report.csv")
+        for key in ("true_positives", "false_positives", "false_negatives", "fscore"):
+            assert moved[key] == plain[key]
+
+
 class TestVerify:
     def test_consistent_assignment_exits_zero(self, problem_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -265,6 +299,28 @@ class TestBench:
     def test_indivisible_sizes_are_data_errors(self, tmp_path):
         assert run(["bench", "--sizes", "41", "--points-per-object", "4",
                     "--out", tmp_path]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--iters", "0"], "bench_iters must be >= 1"),
+            (["--iters", "-1"], "bench_iters must be >= 1"),
+            (["--sizes", ","], "sizes must be a non-empty list"),
+            (["--sizes", "40,0"], "sizes must be a non-empty list"),
+            (["--points-per-object", "0"], "points_per_object must be >= 1"),
+            (["--d", "3"], r"universe size 3 is smaller than the largest object \(4\)"),
+        ],
+        ids=["iters-zero", "iters-negative", "sizes-empty", "sizes-zero", "points-zero",
+             "d-too-small"],
+    )
+    def test_bad_settings_are_data_errors_naming_the_setting(
+        self, tmp_path, capsys, flags, message
+    ):
+        argv = ["bench", "--sizes", "40", "--points-per-object", "4", "--d", "6",
+                "--iters", "1", "--seed", "0", "--out", tmp_path]
+        assert run(argv + flags) == cli.EXIT_DATA
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_fit_scaling_exponent_recovers_power_law(self):
         ms = np.array([100, 200, 400, 800])

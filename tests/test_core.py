@@ -88,6 +88,20 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             SimilarityMatrix(data=w, index=self.index)
 
+    @pytest.mark.parametrize("where", ["last-tile", "corner-tile"])
+    def test_one_ulp_asymmetry_in_partial_tile_rejected(self, where):
+        # m = 300 leaves a partial last tile of 44 rows and columns.
+        index = BlockIndex((280, 20))
+        rng = np.random.default_rng(3)
+        w = np.zeros((300, 300))
+        w[280:, :280] = rng.random((20, 280))
+        w[:280, 280:] = w[280:, :280].T
+        SimilarityMatrix(data=w, index=index)
+        p, q = (299, 270) if where == "last-tile" else (299, 0)
+        w[p, q] = np.nextafter(w[p, q], np.inf)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            SimilarityMatrix(data=w, index=index)
+
     def test_negative_entry_rejected(self):
         w = self.valid()
         w[1, 2] = w[2, 1] = -0.25
@@ -117,6 +131,19 @@ class TestUniverseAssignment:
             UniverseAssignment(
                 assignment=np.array([0, 0]), d=2, index=BlockIndex((2,))
             )
+
+    def test_duplicate_column_names_first_offending_object(self):
+        # Objects 1 and 3 repeat a column; object 2 reuses object 1's columns legally.
+        a = np.array([0, 1, 2, 2, 2, 3, 4, 4])
+        with pytest.raises(ValueError, match="object 1 assigns two points"):
+            UniverseAssignment(assignment=a, d=5, index=BlockIndex((2, 2, 2, 2)))
+
+    def test_validation_cost_does_not_grow_with_universe_size(self):
+        d = 2**62  # a per-(object, column) count table would need exabytes
+        index = BlockIndex((2, 2))
+        UniverseAssignment(assignment=np.array([0, d - 1, d - 1, 0]), d=d, index=index)
+        with pytest.raises(ValueError, match="object 1 assigns two points"):
+            UniverseAssignment(assignment=np.array([0, d - 1, 5, 5]), d=d, index=index)
 
     def test_column_out_of_range_rejected(self):
         with pytest.raises(ValueError):

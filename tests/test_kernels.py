@@ -10,6 +10,8 @@ from hippi.kernels import (
     build_similarity,
 )
 
+from helpers import pairwise_similarity
+
 
 def make_instance(rng, k=3, size=5, dim=2, fdim=4):
     points = tuple(rng.normal(size=(size, dim)) for _ in range(k))
@@ -55,6 +57,20 @@ class TestBuildSimilarity:
         inst = make_instance(np.random.default_rng(0))
         w = build_similarity(inst, KernelConfig(sigma=1.3))
         np.testing.assert_allclose(w.data, scalar_similarity(inst, 1.3), atol=1e-12)
+
+    @pytest.mark.parametrize("weight_mode", ["constant", "intra-ratio"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_per_pair_build(self, weight_mode, seed):
+        rng = np.random.default_rng(seed)
+        sizes = (1, 7, 1, 12, 3) if seed % 2 else (5, 1, 9, 2)
+        inst = ProblemInstance(
+            points=tuple(rng.normal(size=(s, 2)) for s in sizes),
+            features=tuple(rng.normal(size=(s, 6)) for s in sizes),
+        )
+        sigma = 0.4 + seed
+        w = build_similarity(inst, KernelConfig(sigma=sigma, weight_mode=weight_mode))
+        expected = pairwise_similarity(inst, sigma, weight_mode)
+        assert np.array_equal(w.data.view(np.int64), expected.view(np.int64))
 
     def test_invariant_under_point_reordering(self):
         rng = np.random.default_rng(1)

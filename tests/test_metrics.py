@@ -186,6 +186,49 @@ def test_fscore_accepts_assignments_and_pairwise_input():
     assert direct == via_input
 
 
+def random_labels(rng, sizes, d_true, outlier_rate):
+    """Per-object injective labels in [0, max(d_true, m_i)), with outliers at -1."""
+    truth = []
+    for s in sizes:
+        t = rng.permutation(max(d_true, s))[:s]
+        t[rng.random(s) < outlier_rate] = -1
+        truth.append(t)
+    return truth
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_assignment_counts_match_pair_walk(seed):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(1, 7, size=rng.integers(1, 6)))
+    d = max(sizes) + int(rng.integers(0, 4))
+    u = random_assignment(rng, sizes, d)
+    truth = random_labels(rng, sizes, int(rng.integers(1, 9)), 0.3)
+    fast = fscore(u, truth)
+    walked = fscore(expand(u), truth)
+    assert (fast.true_positives, fast.false_positives, fast.false_negatives) == (
+        walked.true_positives,
+        walked.false_positives,
+        walked.false_negatives,
+    )
+    assert fast.fscore == walked.fscore
+
+
+@pytest.mark.parametrize("shift", [10**12, 2**62])
+def test_large_labels_score_like_small_ones(shift):
+    rng = np.random.default_rng(17)
+    sizes = (4, 5, 3)
+    u = random_assignment(rng, sizes, 6)
+    small = random_labels(rng, sizes, 6, 0.25)
+    large = [np.where(t >= 0, t + shift, -1) for t in small]
+    for predicted in (u, expand(u)):
+        a, b = fscore(predicted, small), fscore(predicted, large)
+        assert (a.true_positives, a.false_positives, a.false_negatives) == (
+            b.true_positives,
+            b.false_positives,
+            b.false_negatives,
+        )
+
+
 def test_fscore_requires_ground_truth():
     rng = np.random.default_rng(15)
     u = random_assignment(rng, (2, 2), 2)

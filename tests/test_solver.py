@@ -23,6 +23,7 @@ from helpers import (
     integer_similarity,
     naive_objective,
     random_assignment,
+    unblocked_gather,
 )
 
 
@@ -71,6 +72,17 @@ def test_gather_handles_empty_universe_slots():
     direct = op.dense() @ u.to_dense()
     assert np.array_equal(op.times_assignment(u), direct)
     assert np.all(op.times_assignment(u)[:, [1, 2, 3]] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 97])
+def test_row_blocked_gather_is_bit_identical_to_one_pass(m):
+    rng = np.random.default_rng(m)
+    w = rng.normal(size=(m, m))
+    d = m + 7
+    assignment = rng.choice(d, size=m, replace=True)
+    assignment[: min(m, 3)] = 0  # a shared slot; at least seven slots stay empty
+    got = solver._gather_columns(w, assignment, d)
+    assert np.array_equal(got.view(np.int64), unblocked_gather(w, assignment, d).view(np.int64))
 
 
 def test_operator_validation():
