@@ -66,4 +66,6 @@ def project_to_universe(v: np.ndarray, index: BlockIndex) -> UniverseAssignment:
     if d < max(index.sizes):
         raise ValueError(f"universe size {d} is smaller than the largest object")
     parts = [lap_exact(ScoreBlock.from_scores(v[index.slice_of(i)])) for i in range(index.k)]
-    return UniverseAssignment(assignment=np.concatenate(parts), d=d, index=index)
+    cols = np.concatenate(parts)
+    cols.setflags(write=False)
+    return UniverseAssignment(assignment=cols, d=d, index=index)

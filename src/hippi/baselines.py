@@ -141,6 +141,7 @@ def vote_similarity(x: PairwiseInput) -> SimilarityMatrix:
     for i in range(x.k):
         s = x.index.slice_of(i)
         data[s, s] = 0.0
+    data.setflags(write=False)
     return SimilarityMatrix(data=data, index=x.index)
 
 
@@ -187,6 +188,7 @@ def random_init(problem, d: int, seed=None) -> UniverseAssignment:
     _require_universe(idx, d)
     rng = np.random.default_rng(seed)
     cols = np.concatenate([rng.permutation(d)[:s] for s in idx.sizes])
+    cols.setflags(write=False)
     return UniverseAssignment(assignment=cols, d=d, index=idx)
 
 

@@ -30,7 +30,18 @@ SYMMETRY_TILE = 256
 
 
 def _owned(a, dtype) -> np.ndarray:
+    """A read-only, C-contiguous ``dtype`` array holding ``a``'s values.
+
+    An input that is already C-contiguous, of ``dtype``, owns its data and is
+    read-only is adopted unchanged; anything else is copied.  Adoption is what
+    lets a freshly built ``m x m`` matrix be handed over without a second copy.
+    A writeable view taken of the input before it was frozen, or a later
+    ``setflags(write=True)`` on it, is the caller's responsibility: writes
+    through either would change the adopted array.
+    """
     out = np.ascontiguousarray(a, dtype=dtype)
+    if out is a and a.flags.owndata and not a.flags.writeable:
+        return a
     if out.base is not None or out is a:
         out = out.copy()
     out.setflags(write=False)

@@ -21,6 +21,10 @@ log = logging.getLogger(__name__)
 
 WEIGHT_MODES = ("constant", "intra-ratio")
 
+#: Rows of ``W`` per block in the in-place passes over it; a block's
+#: temporaries hold ``64 m`` floats.
+BLOCK_ROWS = 64
+
 
 class DegenerateGeometryError(ValueError):
     """An object's points are coincident, leaving the kernel bandwidth undefined."""
@@ -66,9 +70,11 @@ def _intra_nearest(features: np.ndarray) -> np.ndarray:
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
     """Cross-object similarity matrix from feature descriptors.
 
-    One ``cdist`` over all descriptors gives every entry; the kernel is then
-    applied in place and the diagonal blocks are zeroed, so constant weights
-    need no ``m x m`` array beyond ``W`` itself.
+    One ``cdist`` over all descriptors gives every entry.  The kernel is then
+    applied in place, the weights and the top-t cut row block by row block,
+    and the diagonal blocks are zeroed.  The finished array is frozen so that
+    :class:`SimilarityMatrix` adopts it: a build holds no ``m x m`` float
+    array beyond ``W`` itself.
     """
     idx = instance.index
     features = np.concatenate(instance.features)
@@ -89,23 +95,35 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
                 for f in instance.features
             ]
         )
-        w *= np.outer(trust, trust)
+        for r in range(0, idx.m, BLOCK_ROWS):
+            rows = slice(r, r + BLOCK_ROWS)
+            w[rows] *= np.outer(trust[rows], trust)
     for i in range(idx.k):
         w[idx.slice_of(i), idx.slice_of(i)] = 0.0
     if config.knn_sparsify > 0:
-        w = _sparsify_topk(w, config.knn_sparsify)
+        _sparsify_topk(w, config.knn_sparsify)
+    w.setflags(write=False)
     return SimilarityMatrix(data=w, index=idx)
 
 
-def _sparsify_topk(w: np.ndarray, t: int) -> np.ndarray:
-    """Zero everything outside each row's top-t entries; keep symmetry by union."""
-    if t >= w.shape[1]:
-        return w
-    keep = np.zeros_like(w, dtype=bool)
-    top = np.argpartition(-w, t - 1, axis=1)[:, :t]
-    np.put_along_axis(keep, top, True, axis=1)
-    keep |= keep.T
-    return np.where(keep, w, 0.0)
+def _sparsify_topk(w: np.ndarray, t: int) -> None:
+    """Zero, in place, everything outside each row's top-t entries; keep symmetry by union."""
+    m = w.shape[0]
+    if t >= m:
+        return
+    keep = np.zeros((m, m), dtype=bool)
+    for r in range(0, m, BLOCK_ROWS):
+        rows = slice(r, r + BLOCK_ROWS)
+        top = np.argpartition(-w[rows], t - 1, axis=1)[:, :t]
+        np.put_along_axis(keep[rows], top, True, axis=1)
+    # keep[c, r] is either as marked or already or-ed with keep[r, c]; either
+    # way or-ing it into keep[r, c] gives the union, so the union is taken in
+    # place one row block at a time and a block's rows are final once it is
+    # done.  W is non-negative, so the product writes +0.0 where it cuts.
+    for r in range(0, m, BLOCK_ROWS):
+        rows = slice(r, r + BLOCK_ROWS)
+        keep[rows] |= keep[:, rows].T
+        w[rows] *= keep[rows]
 
 
 def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdjacency:

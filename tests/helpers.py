@@ -163,3 +163,14 @@ def pairwise_similarity(instance, sigma: float, weight_mode: str) -> np.ndarray:
             w[idx.slice_of(i), idx.slice_of(j)] = block
             w[idx.slice_of(j), idx.slice_of(i)] = block.T
     return w
+
+
+def dense_sparsify_topk(w: np.ndarray, t: int) -> np.ndarray:
+    """Top-t sparsification over whole ``m x m`` arrays: one argpartition, a full mask."""
+    if t >= w.shape[1]:
+        return w
+    keep = np.zeros_like(w, dtype=bool)
+    top = np.argpartition(-w, t - 1, axis=1)[:, :t]
+    np.put_along_axis(keep, top, True, axis=1)
+    keep |= keep.T
+    return np.where(keep, w, 0.0)

@@ -118,6 +118,26 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match=r"must be \(3, 3\)"):
             SimilarityMatrix(data=np.zeros((3, 4)), index=self.index)
 
+    def test_frozen_array_that_owns_its_data_is_adopted(self):
+        w = self.valid()
+        w.setflags(write=False)
+        assert SimilarityMatrix(data=w, index=self.index).data is w
+
+    def test_writeable_input_is_copied(self):
+        w = self.valid()
+        s = SimilarityMatrix(data=w, index=self.index)
+        w[0, 2] = w[2, 0] = 0.75
+        assert np.array_equal(s.data, self.valid())
+        assert not s.data.flags.writeable
+
+    def test_read_only_view_of_writeable_base_is_copied(self):
+        base = self.valid()
+        view = base[:]
+        view.setflags(write=False)
+        s = SimilarityMatrix(data=view, index=self.index)
+        base[0, 2] = base[2, 0] = 0.75
+        assert np.array_equal(s.data, self.valid())
+
 
 class TestUniverseAssignment:
     def test_universe_too_small_rejected(self):

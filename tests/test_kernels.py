@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from hippi.core import BlockIndex, MultiAdjacency, ProblemInstance
 from hippi.kernels import (
     DegenerateGeometryError,
     KernelConfig,
+    _sparsify_topk,
     assert_psd,
     build_adjacency,
     build_similarity,
 )
 
-from helpers import pairwise_similarity
+from helpers import dense_sparsify_topk, pairwise_similarity
 
 
 def make_instance(rng, k=3, size=5, dim=2, fdim=4):
@@ -119,6 +122,62 @@ class TestBuildSimilarity:
             KernelConfig(sigma=1.0, mu=-1.0)
         with pytest.raises(ValueError):
             KernelConfig(sigma=1.0, weight_mode="nope")
+
+
+def symmetric_scores(rng, m, high=None):
+    """Random symmetric non-negative matrix; ``high`` draws small integers, so rows tie."""
+    if high is None:
+        w = rng.random((m, m))
+    else:
+        w = rng.integers(0, high, size=(m, m)).astype(float)
+    return np.triu(w, 1) + np.triu(w, 1).T
+
+
+class TestSparsifyTopk:
+    @pytest.mark.parametrize("m,t", [(1, 1), (2, 1), (63, 3), (64, 1), (65, 64), (150, 7), (200, 40)])
+    @pytest.mark.parametrize("high", [None, 3], ids=["distinct", "ties"])
+    def test_bit_identical_to_whole_matrix_cut(self, m, t, high):
+        w = symmetric_scores(np.random.default_rng(m + t), m, high)
+        expected = dense_sparsify_topk(w.copy(), t)
+        _sparsify_topk(w, t)
+        assert np.array_equal(w.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("t", [9, 10, 50])
+    def test_t_at_least_m_keeps_everything(self, t):
+        w = symmetric_scores(np.random.default_rng(t), 9, high=3)
+        before = w.copy()
+        _sparsify_topk(w, t)
+        assert np.array_equal(w, before)
+
+
+class TestSimilarityMemory:
+    """A build holds ``W`` and small per-block work arrays, never a second ``m x m`` array."""
+
+    @staticmethod
+    def peak_over_w(config: KernelConfig) -> float:
+        rng = np.random.default_rng(0)
+        sizes = [20 + i % 3 for i in range(60)]  # m = 1260
+        inst = ProblemInstance(
+            points=tuple(rng.normal(size=(s, 2)) for s in sizes),
+            features=tuple(rng.normal(size=(s, 8)) for s in sizes),
+        )
+        tracemalloc.start()
+        try:
+            w = build_similarity(inst, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.m >= 1000
+        return peak / w.data.nbytes
+
+    def test_constant_weights_peak_near_one_w(self):
+        assert self.peak_over_w(KernelConfig(sigma=2.0)) <= 1.1
+
+    def test_intra_ratio_peak_near_one_w(self):
+        assert self.peak_over_w(KernelConfig(sigma=2.0, weight_mode="intra-ratio")) <= 1.3
+
+    def test_knn_sparsify_peak_below_two_w(self):
+        assert self.peak_over_w(KernelConfig(sigma=2.0, knn_sparsify=5)) <= 1.6
 
 
 class TestBuildAdjacency:
