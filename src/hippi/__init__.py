@@ -1,9 +1,8 @@
 """Cycle-consistent multi-matching via higher-order projected power iteration."""
 
-from hippi.assignment import ScoreBlock, lap_exact, project_to_universe
+from hippi.assignment import lap_exact, project_to_universe
 from hippi.baselines import (
     BASELINE_METHODS,
-    PairwiseInput,
     greedy_init,
     pairwise_lap_matchings,
     random_init,
@@ -68,11 +67,9 @@ __all__ = [
     "MultiAdjacency",
     "OUTLIER",
     "PSD_TOL",
-    "PairwiseInput",
     "PairwiseMatchingSet",
     "ProblemInstance",
     "PsdReport",
-    "ScoreBlock",
     "SimilarityMatrix",
     "SolverConfig",
     "SolverTrace",

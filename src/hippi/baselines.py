@@ -16,120 +16,44 @@ the stacked scores onto the assignment set, one LAP per object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from hippi.assignment import lap_exact, ScoreBlock, project_to_universe
+from hippi.assignment import lap_exact, project_to_universe
 from hippi.core import (
     BlockIndex,
     PairwiseMatchingSet,
     SimilarityMatrix,
     UniverseAssignment,
-    _owned,
+    _inverse,
 )
 
 BASELINE_METHODS = ("spectral", "random", "greedy", "external-file")
 
 
-@dataclass(frozen=True)
-class PairwiseInput:
-    """A ``k x k`` grid of pairwise score/matching blocks, mirror-symmetric."""
-
-    blocks: tuple[tuple[np.ndarray, ...], ...]
-    index: BlockIndex
-
-    def __post_init__(self):
-        idx = self.index
-        if len(self.blocks) != idx.k or any(len(row) != idx.k for row in self.blocks):
-            raise ValueError(f"need a {idx.k} x {idx.k} grid of blocks")
-        frozen = []
-        for i, row in enumerate(self.blocks):
-            frow = []
-            for j, b in enumerate(row):
-                b = _owned(b, np.float64)
-                if b.shape != (idx.sizes[i], idx.sizes[j]):
-                    raise ValueError(
-                        f"block ({i},{j}) must be {idx.sizes[i]} x {idx.sizes[j]}, got {b.shape}"
-                    )
-                if not np.all(np.isfinite(b)):
-                    raise ValueError(f"block ({i},{j}) has non-finite entries")
-                frow.append(b)
-            frozen.append(tuple(frow))
-        for i in range(idx.k):
-            for j in range(idx.k):
-                if not np.array_equal(frozen[i][j], frozen[j][i].T):
-                    raise ValueError(f"blocks ({i},{j}) and ({j},{i}) are not transposes")
-        object.__setattr__(self, "blocks", tuple(frozen))
-
-    @classmethod
-    def from_matching_set(cls, x: PairwiseMatchingSet) -> "PairwiseInput":
-        blocks = tuple(
-            tuple(x.block_dense(i, j) for j in range(x.k)) for i in range(x.k)
-        )
-        return cls(blocks=blocks, index=x.index)
-
-    @property
-    def k(self) -> int:
-        return self.index.k
-
-    def to_matrix(self) -> np.ndarray:
-        return np.block([[self.blocks[i][j] for j in range(self.k)] for i in range(self.k)])
-
-    def matched_pairs(self):
-        """Iterate non-zero cross-object entries once each, as ``(i, p, j, q)``."""
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                for p, q in zip(*np.nonzero(self.blocks[i][j])):
-                    yield i, int(p), j, int(q)
-
-    def to_matching_set(self) -> PairwiseMatchingSet:
-        """Reinterpret binary partial-permutation blocks as sparse match maps."""
-        maps = []
-        for i in range(self.k):
-            row = []
-            for j in range(self.k):
-                b = self.blocks[i][j]
-                if not np.isin(b, (0.0, 1.0)).all():
-                    raise ValueError(f"block ({i},{j}) is not binary")
-                if (b.sum(axis=1) > 1).any():
-                    raise ValueError(f"block ({i},{j}) matches a point twice")
-                mp = np.full(b.shape[0], -1, dtype=np.int64)
-                rows, cols = np.nonzero(b)
-                mp[rows] = cols
-                row.append(mp)
-            maps.append(tuple(row))
-        return PairwiseMatchingSet(maps=tuple(maps), index=self.index)
-
-
-def pairwise_lap_matchings(w: SimilarityMatrix) -> PairwiseInput:
+def pairwise_lap_matchings(w: SimilarityMatrix) -> PairwiseMatchingSet:
     """Match every pair of objects independently by a rectangular LAP.
 
     Each block maximises the total similarity over partial permutations with
     ``min(m_i, m_j)`` matches; the result is symmetric by mirroring but in
-    general not cycle-consistent.
+    general not cycle-consistent.  Diagonal maps are identities.
     """
     idx = w.index
     sizes = idx.sizes
-    blocks = [[None] * idx.k for _ in range(idx.k)]
+    maps = [[None] * idx.k for _ in range(idx.k)]
     for i in range(idx.k):
-        blocks[i][i] = np.eye(sizes[i])
-    for i in range(idx.k):
+        maps[i][i] = np.arange(sizes[i])
         for j in range(i + 1, idx.k):
-            scores = w.block(i, j)
-            x = np.zeros_like(scores)
             if sizes[i] <= sizes[j]:
-                cols = lap_exact(ScoreBlock.from_scores(scores))
-                x[np.arange(sizes[i]), cols] = 1.0
+                forward = lap_exact(w.block(i, j))
+                backward = _inverse(forward, sizes[j])
             else:
-                rows = lap_exact(ScoreBlock.from_scores(scores.T))
-                x[rows, np.arange(sizes[j])] = 1.0
-            blocks[i][j] = x
-            blocks[j][i] = x.T
-    return PairwiseInput(blocks=tuple(tuple(row) for row in blocks), index=idx)
+                backward = lap_exact(w.block(i, j).T)
+                forward = _inverse(backward, sizes[i])
+            maps[i][j], maps[j][i] = forward, backward
+    return PairwiseMatchingSet(maps=tuple(tuple(row) for row in maps), index=idx)
 
 
-def vote_similarity(x: PairwiseInput) -> SimilarityMatrix:
+def vote_similarity(x: PairwiseMatchingSet) -> SimilarityMatrix:
     """Reinterpret binary pairwise matchings as a 0/1 similarity matrix.
 
     Each cross-object entry is 1 exactly where the pairwise matcher voted for
@@ -145,7 +69,7 @@ def vote_similarity(x: PairwiseInput) -> SimilarityMatrix:
     return SimilarityMatrix(data=data, index=x.index)
 
 
-def spectral_sync(x: PairwiseInput, d: int) -> UniverseAssignment:
+def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     """Synchronise pairwise matchings through a rank-``d`` spectral embedding.
 
     The block matrix (diagonal forced to identity) is factored as
@@ -153,10 +77,16 @@ def spectral_sync(x: PairwiseInput, d: int) -> UniverseAssignment:
     scaled by ``sqrt(|lam|)``, scored against the anchor object's rows, and
     projected back onto universe assignments.  The output is always
     cycle-consistent; on input expanded from a planted assignment whose slots
-    all appear in the anchor object, it reproduces the input exactly.
+    all appear in the anchor object, it reproduces the input exactly.  Input
+    whose ``(j, i)`` map is not the mirror image of its ``(i, j)`` map is
+    rejected with a ``ValueError`` naming the pair.
     """
     idx = x.index
     _require_universe(idx, d)
+    for i in range(idx.k):
+        for j in range(i + 1, idx.k):
+            if not np.array_equal(x.maps[j][i], _inverse(x.maps[i][j], idx.sizes[j])):
+                raise ValueError(f"maps ({i},{j}) and ({j},{i}) are not mirror images")
     s = x.to_matrix()
     for i in range(idx.k):
         sl = idx.slice_of(i)

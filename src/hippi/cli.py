@@ -130,10 +130,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     solver = _build_dataclass(
         SolverConfig,
         doc.get("solver", {}),
-        {
-            "max_iters": getattr(args, "max_iters", None),
-            "f_tol": getattr(args, "f_tol", None),
-        },
+        {"max_iters": getattr(args, "max_iters", None)},
     )
     generator = None
     if args.command == "generate" or "generate" in doc:
@@ -446,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("constant", "intra-ratio"))
     slv.add_argument("--knn", type=int)
     slv.add_argument("--max-iters", dest="max_iters", type=int)
-    slv.add_argument("--f-tol", dest="f_tol", type=float)
     slv.add_argument("--strict-psd", dest="strict_psd", action="store_true")
     slv.add_argument("--external", help="assignment file for the external-file method")
 

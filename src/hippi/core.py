@@ -392,9 +392,9 @@ class PairwiseMatchingSet:
                 mp = _owned(mp, np.int64)
                 if mp.shape != (idx.sizes[i],):
                     raise ValueError(f"map ({i},{j}) must have length {idx.sizes[i]}")
+                if mp.min() < -1 or mp.max() >= idx.sizes[j]:
+                    raise ValueError(f"map ({i},{j}) entries must lie in [-1, {idx.sizes[j]})")
                 hit = mp[mp >= 0]
-                if hit.size and hit.max() >= idx.sizes[j]:
-                    raise ValueError(f"map ({i},{j}) points outside object {j}")
                 if np.unique(hit).size != hit.size:
                     raise ValueError(f"map ({i},{j}) matches two points to the same target")
                 frow.append(mp)
@@ -416,6 +416,10 @@ class PairwiseMatchingSet:
         x[rows, mp[rows]] = 1.0
         return x
 
+    def to_matrix(self) -> np.ndarray:
+        """The binary ``m x m`` block matrix of all k^2 maps (small instances only)."""
+        return np.block([[self.block_dense(i, j) for j in range(self.k)] for i in range(self.k)])
+
     def matched_pairs(self):
         """Iterate cross-object matches once each, as ``(i, p, j, q)`` with i < j."""
         for i in range(self.k):
@@ -435,6 +439,14 @@ class PairwiseMatchingSet:
             for i in range(self.k)
             for j in range(self.k)
         )
+
+
+def _inverse(mp: np.ndarray, target_size: int) -> np.ndarray:
+    """The mirror image of a match map: for each target point, its source or -1."""
+    inv = np.full(target_size, -1, dtype=np.int64)
+    src = np.flatnonzero(mp >= 0)
+    inv[mp[src]] = src
+    return inv
 
 
 def expand(u: UniverseAssignment) -> PairwiseMatchingSet:

@@ -147,6 +147,8 @@ def load_pairwise(path) -> PairwiseMatchingSet:
             i, p, j, q = (int(v) for v in entry)
             if not (0 <= i < index.k and 0 <= j < index.k) or i == j:
                 raise ValueError(f"match {entry} names an invalid object pair")
+            if not (0 <= p < index.sizes[i] and 0 <= q < index.sizes[j]):
+                raise ValueError(f"match {entry} names a point outside its object")
             if maps[i][j][p] not in (-1, q) or maps[j][i][q] not in (-1, p):
                 raise ValueError(f"match {entry} conflicts with an earlier one")
             maps[i][j][p] = q

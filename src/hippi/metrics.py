@@ -22,7 +22,13 @@ import numpy as np
 
 # ``expand`` is unused here but stays bound: perfbench/spans.py times it as
 # ``metrics.expand``.
-from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, expand  # noqa: F401
+from hippi.core import (  # noqa: F401
+    BlockIndex,
+    PairwiseMatchingSet,
+    UniverseAssignment,
+    _inverse,
+    expand,
+)
 
 
 @dataclass(frozen=True)
@@ -104,13 +110,6 @@ def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse(mp: np.ndarray, target_size: int) -> np.ndarray:
-    inv = np.full(target_size, -1, dtype=np.int64)
-    src = np.flatnonzero(mp >= 0)
-    inv[mp[src]] = src
-    return inv
-
-
 def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
     """Count identity, symmetry and transitivity violations exactly."""
     k = x.k
@@ -165,16 +164,6 @@ def cycle_error(x: PairwiseMatchingSet) -> float:
                 total += int(np.sum(hit))
                 violations += int(np.sum(hit & (comp != x.block_map(i, l))))
     return violations / total if total > 0 else 0.0
-
-
-def _as_matching_set(predicted) -> tuple[PairwiseMatchingSet, float]:
-    """Normalise a pairwise prediction and compute its cycle error."""
-    if isinstance(predicted, PairwiseMatchingSet):
-        return predicted, cycle_error(predicted)
-    if hasattr(predicted, "to_matching_set"):
-        ms = predicted.to_matching_set()
-        return ms, cycle_error(ms)
-    raise TypeError(f"cannot score a {type(predicted).__name__} as a matching")
 
 
 def _pairs(counts: np.ndarray) -> int:
@@ -232,8 +221,8 @@ def _true_pairs(labels: list[np.ndarray], index: BlockIndex) -> int:
 def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
     """Score a predicted matching against per-object universe labels.
 
-    ``predicted`` may be a :class:`PairwiseMatchingSet`, a
-    :class:`UniverseAssignment`, or anything exposing ``to_matching_set()``.
+    ``predicted`` is a :class:`UniverseAssignment` or a
+    :class:`PairwiseMatchingSet`; anything else raises ``TypeError``.
     ``truth`` holds one integer label array per object; ``-1`` marks outliers,
     which never participate in true pairs.  Universe assignments are
     consistent by construction, so their cycle error is 0 without the cubic
@@ -245,11 +234,12 @@ def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
         index, consistency = predicted.index, 0.0
         labels = _checked_labels(truth, index)
         tp, fp = _universe_counts(predicted, labels)
-    else:
-        ms, consistency = _as_matching_set(predicted)
-        index = ms.index
+    elif isinstance(predicted, PairwiseMatchingSet):
+        index, consistency = predicted.index, cycle_error(predicted)
         labels = _checked_labels(truth, index)
-        tp, fp = _pairwise_counts(ms, labels)
+        tp, fp = _pairwise_counts(predicted, labels)
+    else:
+        raise TypeError(f"cannot score a {type(predicted).__name__} as a matching")
     fn = _true_pairs(labels, index) - tp
     return MatchReport.from_counts(
         tp, fp, fn, cycle_error=consistency, runtime_seconds=runtime_seconds

@@ -7,8 +7,11 @@ iteration lifts the current assignment through ``V = Wb U (U^T Wb U)`` and
 projects ``V`` back onto the assignment set with per-block LAPs; that step is
 :func:`iterates`.  When ``Wb`` is positive semidefinite the objective never
 decreases, and because the feasible set is finite the sequence stalls after
-finitely many steps; the solver stops at the first stall
-(``|f_t - f_{t-1}| <= f_tol``).
+finitely many steps.  The solver stops at the first iterate whose assignment
+it has seen before: a fixed point ``U_{t+1} = U_t``, or a cycle, whose
+assignments tie in objective when ``Wb`` is PSD.  Iterates are compared by a
+fixed-size digest of their column vectors, so stopping never depends on float
+equality.
 
 ``U`` is stored as a column-index vector, so all products against it are
 gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies; one
@@ -20,6 +23,7 @@ elements in the same order as an unblocked pass would.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -38,25 +42,22 @@ GATHER_ROWS = 32
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and stall tolerances."""
+    """Iteration budget: the most iterates a solve evaluates."""
 
     max_iters: int = 200
-    f_tol: float = 0.0
-    f_rtol: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.f_tol < 0 or self.f_rtol < 0:
-            raise ValueError("tolerances must be non-negative")
 
 
 @dataclass(frozen=True)
 class SolverTrace:
-    """Objective value and wall time per iterate, plus the stall flag.
+    """Objective value and wall time per iterate, plus the stop reason.
 
     An iterate's wall time covers the projection that produced it and its
-    evaluation.
+    evaluation.  ``converged`` is True when the run stopped because an
+    assignment repeated, False when it ran out of iterations.
     """
 
     objectives: np.ndarray
@@ -136,23 +137,12 @@ class WbarOperator:
     ) -> "WbarOperator":
         return cls(similarity.data, similarity.index, adjacency)
 
-    def _apply_adjacency(self, x: np.ndarray) -> np.ndarray:
-        if self.adjacency is None:
-            return x
-        return self.adjacency.matmul(x)
-
-    def apply_dense(self, x: np.ndarray) -> np.ndarray:
-        """``Wb @ X`` for a dense ``m x r`` matrix."""
-        return self.w @ self._apply_adjacency(self.w @ x)
-
     def times_assignment(self, u: UniverseAssignment) -> np.ndarray:
         """``Wb @ U`` without ever forming the dense one-hot ``U``."""
         wu = _gather_columns(self.w, u.assignment, u.d)
-        return self.w @ self._apply_adjacency(wu)
-
-    def dense(self) -> np.ndarray:
-        """Materialise ``Wb``; for small problems and tests only."""
-        return self.apply_dense(np.eye(self.index.m))
+        if self.adjacency is not None:
+            wu = self.adjacency.matmul(wu)
+        return self.w @ wu
 
 
 def iterates(
@@ -183,26 +173,29 @@ def hippi_solve(
     u0: UniverseAssignment,
     config: SolverConfig | None = None,
 ) -> tuple[UniverseAssignment, SolverTrace]:
-    """Run the projected power iteration from ``u0`` until stall or budget.
+    """Run the projected power iteration from ``u0`` until an assignment repeats.
 
     Returns the final assignment together with a trace holding one objective
-    value per evaluated iterate.  ``converged`` is True only when two
-    consecutive objectives agreed to within the configured tolerance; hitting
-    ``max_iters`` leaves it False.
+    value per evaluated iterate.  The run stops at the first iterate equal to
+    an earlier one, a fixed point or a cycle, and then ``converged`` is True;
+    hitting ``max_iters`` first leaves it False.
+    One 16-byte digest is kept per iterate, so the check costs O(iterations)
+    memory whatever ``m`` is.
     """
     config = config or SolverConfig()
     objectives: list[float] = []
     wall: list[float] = []
+    seen: set[bytes] = set()
     converged = False
     tic = time.perf_counter()
     for u, f in islice(iterates(wbar, u0), config.max_iters):
         wall.append(time.perf_counter() - tic)
-        if objectives:
-            gap = abs(f - objectives[-1])
-            converged = gap <= config.f_tol + config.f_rtol * max(abs(f), 1.0)
         objectives.append(f)
-        if converged:
+        digest = hashlib.blake2b(u.assignment, digest_size=16).digest()
+        if digest in seen:
+            converged = True
             break
+        seen.add(digest)
         tic = time.perf_counter()
     trace = SolverTrace(
         objectives=np.asarray(objectives),

@@ -8,6 +8,7 @@ they stay independent of what they check.
 from itertools import permutations, product
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment
@@ -36,6 +37,13 @@ def dense_expand(u: UniverseAssignment) -> np.ndarray:
     """Pairwise matching matrix X = U U^T from the dense binary U."""
     dense = u.to_dense()
     return dense @ dense.T
+
+
+def dense_wbar(op) -> np.ndarray:
+    """``Wb = W A W`` of a ``WbarOperator`` as plain dense products (``A = I`` if absent)."""
+    m = op.index.m
+    a = np.eye(m) if op.adjacency is None else block_diag(*op.adjacency.blocks)
+    return op.w @ a @ op.w
 
 
 def naive_objective(wbar: np.ndarray, u_dense: np.ndarray) -> float:

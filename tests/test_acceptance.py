@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hippi import cli, io
-from hippi.assignment import ScoreBlock, lap_exact, objective_value
+from hippi.assignment import lap_exact
 from hippi.baselines import (
     pairwise_lap_matchings,
     random_init,
@@ -66,12 +66,12 @@ def _random_operator(seed):
 
 @pytest.fixture(scope="session")
 def solver_suite():
-    """100 seeded solves with a zero stall tolerance; shared by criteria 1, 2, 4."""
+    """100 seeded solves, each stopping at a repeated assignment; shared by criteria 1, 2, 4."""
     runs = []
     tic = time.perf_counter()
     for seed in range(100):
         op, u0 = _random_operator(seed)
-        u, trace = hippi_solve(op, u0, SolverConfig(max_iters=200, f_tol=0.0))
+        u, trace = hippi_solve(op, u0, SolverConfig(max_iters=200))
         runs.append((u, trace))
     elapsed = time.perf_counter() - tic
     return runs, elapsed
@@ -110,9 +110,9 @@ def test_03_projection_matches_brute_force(acceptance_log):
         m = int(rng.integers(1, 6))
         d = int(rng.integers(m, 8))
         scores = rng.normal(size=(m, d))
-        cols = lap_exact(ScoreBlock.from_scores(scores))
+        cols = lap_exact(scores)
         best, _ = brute_force_lap(scores)
-        if objective_value(ScoreBlock.from_scores(scores), cols) != best:
+        if float(scores[np.arange(m), cols].sum()) != best:
             exact_misses += 1
     elapsed = time.perf_counter() - tic
     ok = exact_misses == 0 and elapsed < 10.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hippi.baselines import (
-    PairwiseInput,
     greedy_init,
     pairwise_lap_matchings,
     random_init,
@@ -12,7 +11,13 @@ from hippi.baselines import (
     spectral_sync,
     vote_similarity,
 )
-from hippi.core import BlockIndex, SimilarityMatrix, UniverseAssignment, expand
+from hippi.core import (
+    BlockIndex,
+    PairwiseMatchingSet,
+    SimilarityMatrix,
+    UniverseAssignment,
+    expand,
+)
 
 from helpers import brute_force_lap, integer_similarity, random_assignment
 
@@ -34,39 +39,32 @@ def pair_fscore(pred: set, true: set) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def test_pairwise_input_validation():
+def test_spectral_rejects_unmirrored_maps():
     index = BlockIndex(sizes=(2, 1))
-    eye = np.eye(2)
-    with pytest.raises(ValueError):
-        PairwiseInput(blocks=((eye,),), index=index)  # wrong grid
-    good = (
-        (np.eye(2), np.array([[1.0], [0.0]])),
-        (np.array([[1.0, 0.0]]), np.eye(1)),
-    )
-    PairwiseInput(blocks=good, index=index)
-    bad_mirror = (
-        (np.eye(2), np.array([[1.0], [0.0]])),
-        (np.array([[0.0, 1.0]]), np.eye(1)),
-    )
-    with pytest.raises(ValueError):
-        PairwiseInput(blocks=bad_mirror, index=index)
-    with pytest.raises(ValueError):
-        PairwiseInput(
-            blocks=((np.eye(2), np.full((2, 1), np.nan)), (np.full((1, 2), np.nan), np.eye(1))),
-            index=index,
-        )
+    good = ((np.arange(2), np.array([0, -1])), (np.array([0]), np.arange(1)))
+    spectral_sync(PairwiseMatchingSet(maps=good, index=index), d=2)
+    for back in ([1], [-1]):  # matched to the wrong point, or not matched back at all
+        bad = ((np.arange(2), np.array([0, -1])), (np.array(back), np.arange(1)))
+        with pytest.raises(ValueError, match=r"maps \(0,1\) and \(1,0\) are not mirror"):
+            spectral_sync(PairwiseMatchingSet(maps=bad, index=index), d=2)
+    u = random_assignment(np.random.default_rng(1), (2, 3, 3), 3)
+    maps = [list(row) for row in expand(u).maps]
+    maps[2][1] = maps[2][1][::-1].copy()
+    skewed = PairwiseMatchingSet(maps=tuple(map(tuple, maps)), index=u.index)
+    with pytest.raises(ValueError, match=r"maps \(1,2\) and \(2,1\)"):
+        spectral_sync(skewed, d=3)
 
 
 def test_identity_cross_scores_match_identically():
     w = two_object_similarity(np.eye(2))
     x = pairwise_lap_matchings(w)
-    assert np.array_equal(x.blocks[0][1], np.eye(2))
+    assert np.array_equal(x.block_dense(0, 1), np.eye(2))
 
 
 def test_antidiagonal_cross_scores_match_crosswise():
     w = two_object_similarity(np.array([[0.0, 1.0], [1.0, 0.0]]))
     x = pairwise_lap_matchings(w)
-    assert np.array_equal(x.blocks[0][1], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(x.block_dense(0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -83,9 +81,9 @@ def test_pairwise_blocks_attain_brute_force_optimum(seed):
     sim = SimilarityMatrix(data=w, index=index)
     x = pairwise_lap_matchings(sim)
     for i in range(index.k):
-        assert np.array_equal(x.blocks[i][i], np.eye(sizes[i]))
+        assert np.array_equal(x.block_dense(i, i), np.eye(sizes[i]))
         for j in range(i + 1, index.k):
-            block = x.blocks[i][j]
+            block = x.block_dense(i, j)
             assert int(block.sum()) == min(sizes[i], sizes[j])
             got = float((block * sim.block(i, j)).sum())
             wide = sim.block(i, j) if sizes[i] <= sizes[j] else sim.block(i, j).T
@@ -95,7 +93,7 @@ def test_pairwise_blocks_attain_brute_force_optimum(seed):
 
 def test_spectral_single_object_is_identity():
     index = BlockIndex(sizes=(4,))
-    x = PairwiseInput(blocks=((np.eye(4),),), index=index)
+    x = PairwiseMatchingSet(maps=((np.arange(4),),), index=index)
     u = spectral_sync(x, d=4)
     assert u.assignment.tolist() == [0, 1, 2, 3]
 
@@ -107,22 +105,20 @@ def test_spectral_recovers_planted_assignment_when_anchor_covers_universe(seed):
     others = tuple(rng.integers(1, d + 1, size=rng.integers(1, 4)).tolist())
     sizes = (d,) + others  # the largest object holds every universe slot
     u = random_assignment(rng, sizes, d)
-    x = PairwiseInput.from_matching_set(expand(u))
-    recovered = spectral_sync(x, d)
+    recovered = spectral_sync(expand(u), d)
     assert expand(recovered) == expand(u)
 
 
 def test_spectral_handles_universe_larger_than_total_points():
     rng = np.random.default_rng(3)
     u = random_assignment(rng, (2, 2), 2)
-    x = PairwiseInput.from_matching_set(expand(u))
-    recovered = spectral_sync(x, d=6)
+    recovered = spectral_sync(expand(u), d=6)
     assert expand(recovered) == expand(u)
 
 
 def test_spectral_rejects_too_small_universe():
     index = BlockIndex(sizes=(3,))
-    x = PairwiseInput(blocks=((np.eye(3),),), index=index)
+    x = PairwiseMatchingSet(maps=((np.arange(3),),), index=index)
     with pytest.raises(ValueError):
         spectral_sync(x, d=2)
 
@@ -135,16 +131,14 @@ def test_spectral_repairs_corrupted_blocks(seed):
     d, k = 5, 6
     u = random_assignment(rng, (d,) * k, d)
     truth = set(expand(u).matched_pairs())
-    blocks = [[expand(u).block_dense(i, j) for j in range(k)] for i in range(k)]
+    maps = [list(row) for row in expand(u).maps]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     chosen = rng.choice(len(pairs), size=2, replace=False)
     for c in chosen:
         i, j = pairs[c]
-        blocks[i][j] = blocks[i][j][np.roll(np.arange(d), 1)]  # cyclic row shift
-        blocks[j][i] = blocks[i][j].T
-    corrupted = PairwiseInput(
-        blocks=tuple(tuple(row) for row in blocks), index=u.index
-    )
+        maps[i][j] = maps[i][j][np.roll(np.arange(d), 1)]  # cyclic row shift
+        maps[j][i] = np.argsort(maps[i][j])  # the mirror of a full permutation
+    corrupted = PairwiseMatchingSet(maps=tuple(map(tuple, maps)), index=u.index)
     before = pair_fscore(set(corrupted.matched_pairs()), truth)
     synced = spectral_sync(corrupted, d)
     after = pair_fscore(set(expand(synced).matched_pairs()), truth)

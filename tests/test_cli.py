@@ -160,15 +160,17 @@ class TestSolve:
         assert f"object 1: {field} row 2 is not finite" in capsys.readouterr().err
 
     def test_removed_projection_flag_is_usage_error(self, problem_path, tmp_path):
-        assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
-                    "--projection", "auction"]) == cli.EXIT_USAGE
+        for flag, value in (("--projection", "auction"), ("--f-tol", "0")):
+            assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
+                        flag, value]) == cli.EXIT_USAGE
 
     def test_removed_projection_config_key_is_data_error(self, problem_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"solver": {"projection_method": "auction"}}))
-        assert run(["solve", "--problem", problem_path, "--config", cfg,
-                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
-        assert "bad SolverConfig settings" in capsys.readouterr().err
+        for solver in ({"projection_method": "auction"}, {"f_tol": 0.0}):
+            cfg.write_text(json.dumps({"solver": solver}))
+            assert run(["solve", "--problem", problem_path, "--config", cfg,
+                        "--out", tmp_path / "x"]) == cli.EXIT_DATA
+            assert "bad SolverConfig settings" in capsys.readouterr().err
 
 
 class TestEval:

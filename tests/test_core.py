@@ -239,6 +239,18 @@ class TestPairwiseMatchingSet:
         with pytest.raises(ValueError):
             PairwiseMatchingSet(maps=maps, index=idx)
 
+    def test_entry_outside_target_object_rejected(self):
+        idx = BlockIndex((2, 3))
+        for bad in (np.array([-5, 0]), np.array([-2, 0]), np.array([0, 3])):
+            maps = ((np.arange(2), bad), (np.full(3, -1), np.arange(3)))
+            with pytest.raises(ValueError, match=r"map \(0,1\) entries must lie in \[-1, 3\)"):
+                PairwiseMatchingSet(maps=maps, index=idx)
+
+    def test_to_matrix_stacks_the_dense_blocks(self):
+        x = expand(random_assignment(np.random.default_rng(4), (2, 1, 3), 4))
+        rows = [np.hstack([x.block_dense(i, j) for j in range(x.k)]) for i in range(x.k)]
+        assert np.array_equal(x.to_matrix(), np.vstack(rows))
+
     def test_matched_pairs_round_trip(self):
         u = random_assignment(np.random.default_rng(3), (3, 2, 4), 5)
         x = expand(u)

@@ -217,15 +217,22 @@ class TestPairwiseFiles:
 
     def test_out_of_range_point_rejected(self, tmp_path):
         path = tmp_path / "oob.json"
-        doc = {
-            "format": io.PAIRWISE_FORMAT,
-            "version": io.FORMAT_VERSION,
-            "sizes": [2, 2],
-            "matches": [[0, 5, 1, 0]],
-        }
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            io.load_pairwise(path)
+        cases = (
+            ([2, 2], [[0, 5, 1, 0]]),
+            ([3, 3], [[0, -1, 1, 0]]),  # -1 would wrap round to the last point
+            ([3, 3], [[0, 0, 1, -2]]),
+            ([3, 3], [[0, -1, 1, 0], [0, 0, 1, -2]]),
+        )
+        for sizes, matches in cases:
+            doc = {
+                "format": io.PAIRWISE_FORMAT,
+                "version": io.FORMAT_VERSION,
+                "sizes": sizes,
+                "matches": matches,
+            }
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="outside its object"):
+                io.load_pairwise(path)
 
 
 class TestTraceFiles:

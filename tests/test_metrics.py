@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hippi.baselines import PairwiseInput
 from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, expand
 from hippi.metrics import CycleReport, MatchReport, cycle_error, fscore, verify_cycle_consistency
 
@@ -177,13 +176,13 @@ def test_fscore_invariant_under_column_relabelling():
     )
 
 
-def test_fscore_accepts_assignments_and_pairwise_input():
+def test_fscore_rejects_other_types():
     rng = np.random.default_rng(13)
     u = random_assignment(rng, (3, 3), 3)
     truth = [u.block(i) for i in range(2)]
-    direct = fscore(u, truth)
-    via_input = fscore(PairwiseInput.from_matching_set(expand(u)), truth)
-    assert direct == via_input
+    for other in (u.assignment, expand(u).to_matrix(), expand(u).maps):
+        with pytest.raises(TypeError, match="cannot score"):
+            fscore(other, truth)
 
 
 def random_labels(rng, sizes, d_true, outlier_rate):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hippi import solver
@@ -18,7 +18,9 @@ from hippi.solver import (
 )
 
 from helpers import (
+    dense_wbar,
     enumerate_assignments,
+    gaussian_psd_matrix,
     integer_psd_adjacency,
     integer_similarity,
     naive_objective,
@@ -50,7 +52,7 @@ def test_objective_matches_quadruple_loop_oracle(seed):
     op = integer_operator(rng, sizes)
     d = max(sizes) + int(rng.integers(0, 3))
     u = random_assignment(rng, sizes, d)
-    expected = naive_objective(op.dense(), u.to_dense())
+    expected = naive_objective(dense_wbar(op), u.to_dense())
     assert objective(op, u) == expected  # small-integer arithmetic is exact
 
 
@@ -60,7 +62,7 @@ def test_times_assignment_matches_dense_product(seed):
     sizes = (3, 2, 4)
     op = integer_operator(rng, sizes)
     u = random_assignment(rng, sizes, 6)
-    direct = op.dense() @ u.to_dense()
+    direct = dense_wbar(op) @ u.to_dense()
     assert np.array_equal(op.times_assignment(u), direct)
 
 
@@ -69,7 +71,7 @@ def test_gather_handles_empty_universe_slots():
     index = BlockIndex(sizes=(2, 2))
     op = integer_operator(rng, index.sizes)
     u = UniverseAssignment(np.array([0, 4, 4, 0]), d=5, index=index)
-    direct = op.dense() @ u.to_dense()
+    direct = dense_wbar(op) @ u.to_dense()
     assert np.array_equal(op.times_assignment(u), direct)
     assert np.all(op.times_assignment(u)[:, [1, 2, 3]] == 0.0)
 
@@ -99,8 +101,6 @@ def test_operator_validation():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(f_tol=-1.0)
 
 
 def test_trace_requires_aligned_arrays():
@@ -141,7 +141,7 @@ def test_finite_convergence_with_zero_tolerance(seed):
     sizes = tuple(rng.integers(2, 8, size=rng.integers(2, 5)).tolist())
     op = integer_operator(rng, sizes)
     u0 = random_assignment(rng, sizes, max(sizes) + 2)
-    _, trace = hippi_solve(op, u0, SolverConfig(max_iters=200, f_tol=0.0))
+    _, trace = hippi_solve(op, u0, SolverConfig(max_iters=200))
     assert trace.converged
     assert trace.iterations < 200
     assert trace.objectives[-1] == trace.objectives[-2]
@@ -212,6 +212,77 @@ def test_solve_projects_only_between_evaluated_iterates(monkeypatch):
     assert len(calls) == trace.iterations - 1
 
 
+def test_stops_at_first_repeated_assignment(monkeypatch):
+    """A projection that alternates between two assignments of different
+    objective is a 2-cycle; the solver stops when the first one comes back."""
+    rng = np.random.default_rng(31)
+    sizes = (3, 4, 3)
+    op = integer_operator(rng, sizes)
+    a, b = random_assignment(rng, sizes, 5), random_assignment(rng, sizes, 5)
+    assert objective(op, a) != objective(op, b)
+    calls = []
+
+    def alternate(v, index):
+        calls.append(index)
+        return b if len(calls) % 2 else a
+
+    monkeypatch.setattr(solver, "project_to_universe", alternate)
+    u, trace = hippi_solve(op, a, SolverConfig(max_iters=50))
+    assert trace.converged
+    assert trace.iterations == 3
+    assert len(calls) == 2
+    assert u is a
+    assert trace.objectives.tolist() == [objective(op, a), objective(op, b), objective(op, a)]
+
+
+def _assert_close(got, want, rtol=1e-12):
+    """Agreement to ``rtol`` relative to the largest entry of the reference."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    extra=st.integers(0, 2),
+    with_adjacency=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(sizes=[1, 4, 1, 2], extra=0, with_adjacency=True, seed=0)
+@example(sizes=[1], extra=0, with_adjacency=False, seed=1)
+def test_fast_paths_match_dense_oracle(sizes, extra, with_adjacency, seed):
+    """Gather product, objective and the first lift against ``W A W`` in plain numpy,
+    on ragged float instances; ``extra = 0`` gives ``d`` = the largest object."""
+    rng = np.random.default_rng(seed)
+    index = BlockIndex(tuple(sizes))
+    w = rng.uniform(0.0, 1.0, size=(index.m, index.m))
+    w = np.triu(w) + np.triu(w, 1).T
+    adjacency = None
+    if with_adjacency:
+        blocks = tuple(gaussian_psd_matrix(rng, s) for s in sizes)
+        blocks = tuple(np.triu(b) + np.triu(b, 1).T for b in blocks)
+        adjacency = MultiAdjacency(blocks=blocks, index=index)
+    op = WbarOperator(w, index, adjacency)
+    u = random_assignment(rng, sizes, max(sizes) + extra)
+    wbar, dense_u = dense_wbar(op), u.to_dense()
+    mid = dense_u.T @ wbar @ dense_u
+    _assert_close(op.times_assignment(u), wbar @ dense_u)
+    lifts = []
+    project = solver.project_to_universe
+
+    def capture(v, idx):
+        lifts.append(v)
+        return project(v, idx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "project_to_universe", capture)
+        steps = iterates(op, u)
+        next(steps), next(steps)
+    _assert_close(objective(op, u), float((mid * mid).sum()))
+    _assert_close(lifts[0], wbar @ dense_u @ mid)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_tiny_instances_stall_at_enumerated_local_or_global_best(seed):
     """Exhaustive check: the solver never overshoots the true optimum and,
@@ -220,7 +291,7 @@ def test_tiny_instances_stall_at_enumerated_local_or_global_best(seed):
     sizes = (2, 2)
     d = 3
     op = integer_operator(rng, sizes)
-    wbar = op.dense()
+    wbar = dense_wbar(op)
     index = BlockIndex(sizes=sizes)
     best = -np.inf
     values = {}
