@@ -333,18 +333,19 @@ class UniverseAssignment:
             )
         if a.size and (a.min() < 0 or a.max() >= d):
             raise ValueError(f"universe columns must lie in [0, {d})")
+        object.__setattr__(self, "assignment", a)
+        object.__setattr__(self, "d", d)
         # A stable sort by column keeps each column's points in object order, so
         # two points of one object on one column end up side by side.  Sorting,
         # not counting per (object, column), keeps the cost independent of d.
-        order = np.argsort(a, kind="stable")
+        # The sort is cached in ``slot_runs``, so the solver reuses it.
+        order, _, _ = self.slot_runs
         col, owner = a[order], np.repeat(np.arange(idx.k), idx.sizes)[order]
         clash = owner[1:][(col[1:] == col[:-1]) & (owner[1:] == owner[:-1])]
         if clash.size:
             raise ValueError(
                 f"object {int(clash.min())} assigns two points to the same universe column"
             )
-        object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "d", d)
 
     @property
     def m(self) -> int:
@@ -352,6 +353,23 @@ class UniverseAssignment:
 
     def block(self, i: int) -> np.ndarray:
         return self.assignment[self.index.slice_of(i)]
+
+    @cached_property
+    def slot_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points grouped by slot, as ``(order, starts, occupied)``.
+
+        ``order`` lists the points by ascending slot, stably; the points of the
+        ``r``-th occupied slot ``occupied[r]`` start at ``order[starts[r]]``.
+        Only occupied slots appear, so all three cost ``O(m log m)`` whatever
+        ``d`` is.
+        """
+        order = np.argsort(self.assignment, kind="stable")
+        col = self.assignment[order]
+        starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+        occupied = col[starts]
+        for arr in (order, starts, occupied):
+            arr.setflags(write=False)
+        return order, starts, occupied
 
     def to_dense(self) -> np.ndarray:
         """Materialise the binary ``m x d`` matrix (small instances only)."""

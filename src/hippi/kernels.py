@@ -179,10 +179,9 @@ def assert_psd(adjacency: MultiAdjacency, repair: bool = False, tol: float = PSD
     the repair is logged, never silent.
     """
     min_eigs, norms, flagged = [], [], []
-    spectra = []
     for i, block in enumerate(adjacency.blocks):
-        vals, vecs = np.linalg.eigh(block)
-        spectra.append((vals, vecs))
+        # Eigenvalues only: the eigenvectors are needed just for a repair.
+        vals = np.linalg.eigvalsh(block)
         norm = float(np.abs(vals).max()) if vals.size else 0.0
         min_eigs.append(float(vals.min()))
         norms.append(norm)
@@ -191,8 +190,9 @@ def assert_psd(adjacency: MultiAdjacency, repair: bool = False, tol: float = PSD
     repaired = None
     if repair and flagged:
         blocks = []
-        for i, (block, (vals, vecs)) in enumerate(zip(adjacency.blocks, spectra)):
+        for i, block in enumerate(adjacency.blocks):
             if i in flagged:
+                vals, vecs = np.linalg.eigh(block)
                 fixed = (vecs * np.maximum(vals, 0.0)) @ vecs.T
                 fixed = (fixed + fixed.T) / 2.0
                 log.warning(

@@ -26,7 +26,6 @@ from hippi.core import (  # noqa: F401
     BlockIndex,
     PairwiseMatchingSet,
     UniverseAssignment,
-    _inverse,
     expand,
 )
 
@@ -102,12 +101,37 @@ class CycleReport:
         return self.total == 0
 
 
-def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
-    """Follow two match maps; any unmatched hop yields -1."""
-    out = np.full(first.shape, -1, dtype=np.int64)
-    hit = first >= 0
-    out[hit] = then[first[hit]]
-    return out
+def _padded_maps(x: PairwiseMatchingSet) -> np.ndarray:
+    """All ``k^2`` maps stacked as one ``(k, k, n_max + 1)`` array.
+
+    Entries past an object's size and the whole last column hold -1, so
+    indexing a map with an unmatched ``-1`` lands on -1 again: composing
+    through a missing hop needs no mask.
+    """
+    k, n = x.k, max(x.index.sizes)
+    maps = np.full((k, k, n + 1), -1, dtype=np.int64)
+    for i, row in enumerate(x.maps):
+        for j, mp in enumerate(row):
+            maps[i, j, : mp.size] = mp
+    return maps
+
+
+def _three_hops(maps: np.ndarray, sizes: tuple[int, ...]):
+    """Per source object ``i``: ``(i, comp, direct)``, all compositions at once.
+
+    ``comp[j, l, p]`` is where point ``p`` of object ``i`` lands by way of
+    object ``j`` in object ``l`` (or -1), and ``direct[l, p]`` is its direct
+    match in ``l``.  Each yield holds ``k^2 m_i`` entries, about the size of
+    the input's maps from ``i``.
+    """
+    k, width = maps.shape[0], maps.shape[2]
+    flat = maps.reshape(-1)
+    # Flat offset of map (j, l): composing is one ``take`` per source object.
+    base = (np.arange(k)[:, None] * k + np.arange(k)[None, :]) * width
+    for i, n in enumerate(sizes):
+        direct = maps[i, :, :n]
+        comp = flat.take(base[:, :, None] + (direct % width)[:, None, :])
+        yield i, comp, direct
 
 
 def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
@@ -122,22 +146,19 @@ def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
         # diagonal one and the spurious one); an unmatched row just one.
         identity += int(np.sum(~on_diagonal & (mp >= 0)) * 2)
         identity += int(np.sum(~on_diagonal & (mp < 0)))
-    symmetry = 0
-    for i in range(k):
-        for j in range(i, k):
-            forward = x.block_map(i, j)
-            backward = _inverse(x.block_map(j, i), sizes[i])
-            ones_f = int(np.sum(forward >= 0))
-            ones_b = int(np.sum(backward >= 0))
-            both = int(np.sum((forward >= 0) & (forward == backward)))
-            symmetry += ones_f + ones_b - 2 * both
+    maps = _padded_maps(x)
+    width = maps.shape[2]
+    ones = (maps >= 0).sum(axis=2)
+    # Entry (i, j, p) agrees with its mirror when map (j, i) sends p's match
+    # back to p; -1 entries never agree, as the sentinel is never a point.
+    back = maps[np.arange(k)[None, :, None], np.arange(k)[:, None, None], maps % width]
+    both = ((maps >= 0) & (back == np.arange(width))).sum(axis=2)
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    symmetry = int((ones + ones.T - 2 * both)[upper].sum())
     transitivity = 0
-    for i in range(k):
-        for l in range(i, k):
-            direct = x.block_map(i, l)
-            for j in range(k):
-                comp = _compose(x.block_map(i, j), x.block_map(j, l))
-                transitivity += int(np.sum((comp >= 0) & (comp != direct)))
+    for i, comp, direct in _three_hops(maps, sizes):
+        # Compositions i -> j -> l with l >= i, through every j.
+        transitivity += int(np.sum((comp[:, i:] >= 0) & (comp[:, i:] != direct[i:])))
     return CycleReport(identity=identity, symmetry=symmetry, transitivity=transitivity)
 
 
@@ -150,19 +171,14 @@ def cycle_error(x: PairwiseMatchingSet) -> float:
     no composed matches scores 0.
     """
     k = x.k
+    j, l = np.arange(k)[:, None], np.arange(k)[None, :]
     violations = 0
     total = 0
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            for l in range(k):
-                if l == i or l == j:
-                    continue
-                comp = _compose(x.block_map(i, j), x.block_map(j, l))
-                hit = comp >= 0
-                total += int(np.sum(hit))
-                violations += int(np.sum(hit & (comp != x.block_map(i, l))))
+    for i, comp, direct in _three_hops(_padded_maps(x), x.index.sizes):
+        distinct = (j != i) & (l != i) & (j != l)
+        hit = (comp >= 0) & distinct[:, :, None]
+        total += int(hit.sum())
+        violations += int(np.sum(hit & (comp != direct)))
     return violations / total if total > 0 else 0.0
 
 

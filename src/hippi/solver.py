@@ -11,14 +11,17 @@ finitely many steps.  The solver stops at the first iterate whose assignment
 it has seen before: a fixed point ``U_{t+1} = U_t``, or a cycle, whose
 assignments tie in objective when ``Wb`` is PSD.  Iterates are compared by a
 fixed-size digest of their column vectors, so stopping never depends on float
-equality.
+equality, and a repeat is caught before the operator is applied to it.
 
 ``U`` is stored as a column-index vector, so all products against it are
-gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies; one
-iteration costs ``O(m^2 d)`` plus ``k`` small LAPs.  The gather ``W U`` runs
-over blocks of :data:`GATHER_ROWS` rows, so it never copies all of ``W``: each
-block's permuted columns stay in cache, and each output entry sums the same
-elements in the same order as an unblocked pass would.
+gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies.  A
+column of ``Wb U``, ``U^T Wb U`` or the lift that belongs to an empty slot is
+exactly zero, so every product runs on the ``d_occ <= min(m, d)`` occupied
+slots only: one iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs over the used
+columns (see :func:`~hippi.assignment.project_to_universe`).  The gather
+``W U`` runs over blocks of :data:`GATHER_ROWS` rows, so it never copies all
+of ``W``: each block's permuted columns stay in cache, and each output entry
+sums the same elements in the same order as an unblocked pass would.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import hashlib
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -56,8 +58,9 @@ class SolverTrace:
     """Objective value and wall time per iterate, plus the stop reason.
 
     An iterate's wall time covers the projection that produced it and its
-    evaluation.  ``converged`` is True when the run stopped because an
-    assignment repeated, False when it ran out of iterations.
+    evaluation; a repeated final iterate is not evaluated again.
+    ``converged`` is True when the run stopped because an assignment
+    repeated, False when it ran out of iterations.
     """
 
     objectives: np.ndarray
@@ -77,33 +80,21 @@ class SolverTrace:
         return int(self.objectives.size)
 
 
-def _segments(assignment: np.ndarray, d: int):
-    """Sort point indices by universe slot; used to sum rows/columns per slot."""
-    counts = np.bincount(assignment, minlength=d)
-    order = np.argsort(assignment, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return order, starts, counts > 0
+def _gather_columns(w: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``W @ U`` on the occupied slots: add W's columns into their slots.
 
-
-def _gather_columns(w: np.ndarray, assignment: np.ndarray, d: int) -> np.ndarray:
-    """``W @ U`` with ``U`` one-hot per row: add W's columns into their slots."""
-    order, starts, nonempty = _segments(assignment, d)
-    out = np.zeros((w.shape[0], d))
-    if nonempty.any():
-        bounds = starts[nonempty]
-        for r in range(0, w.shape[0], GATHER_ROWS):
-            rows = slice(r, r + GATHER_ROWS)
-            out[rows, nonempty] = np.add.reduceat(w[rows, order], bounds, axis=1)
+    ``order`` and ``starts`` are an assignment's :attr:`~UniverseAssignment.slot_runs`.
+    """
+    out = np.empty((w.shape[0], starts.size))
+    for r in range(0, w.shape[0], GATHER_ROWS):
+        rows = slice(r, r + GATHER_ROWS)
+        out[rows] = np.add.reduceat(w[rows, order], starts, axis=1)
     return out
 
 
-def _pool_rows(x: np.ndarray, assignment: np.ndarray, d: int) -> np.ndarray:
-    """``U^T @ X``: add X's rows into their universe slots."""
-    order, starts, nonempty = _segments(assignment, d)
-    out = np.zeros((d, x.shape[1]))
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(x[order], starts[nonempty], axis=0)
-    return out
+def _pool_rows(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``U^T @ X`` on the occupied slots: add X's rows into their slots."""
+    return np.add.reduceat(x[order], starts, axis=0)
 
 
 class WbarOperator:
@@ -138,11 +129,40 @@ class WbarOperator:
         return cls(similarity.data, similarity.index, adjacency)
 
     def times_assignment(self, u: UniverseAssignment) -> np.ndarray:
-        """``Wb @ U`` without ever forming the dense one-hot ``U``."""
-        wu = _gather_columns(self.w, u.assignment, u.d)
+        """``Wb @ U`` on ``u``'s occupied slots, without forming the one-hot ``U``.
+
+        Returns ``m x d_occ``: column ``r`` belongs to slot
+        ``u.slot_runs[2][r]``, in ascending slot order.  The dropped columns,
+        those of the empty slots, are exactly zero.
+        """
+        if u.index.sizes != self.index.sizes:
+            raise ValueError("assignment does not match the operator's index")
+        order, starts, _ = u.slot_runs
+        wu = _gather_columns(self.w, order, starts)
         if self.adjacency is not None:
             wu = self.adjacency.matmul(wu)
         return self.w @ wu
+
+
+def _evaluate(wbar: WbarOperator, u: UniverseAssignment) -> tuple[np.ndarray, np.ndarray, float]:
+    """One operator application: ``Wb U`` and ``U^T Wb U`` on the occupied slots, and ``f(U)``.
+
+    ``f`` is summed over the zero-padded ``d x d`` matrix, so its rounding does
+    not depend on how many slots are empty.
+    """
+    order, starts, occupied = u.slot_runs
+    p = wbar.times_assignment(u)
+    mid = _pool_rows(p, order, starts)
+    padded = np.zeros((u.d, u.d))
+    padded[np.ix_(occupied, occupied)] = mid
+    return p, mid, float((padded * padded.T).sum())
+
+
+def _project(u: UniverseAssignment, p: np.ndarray, mid: np.ndarray) -> UniverseAssignment:
+    """The next iterate: the lift ``Wb U (U^T Wb U)``, scattered to ``m x d``, projected."""
+    v = np.zeros((u.m, u.d))
+    v[:, u.slot_runs[2]] = p @ mid
+    return project_to_universe(v, u.index)
 
 
 def iterates(
@@ -150,22 +170,23 @@ def iterates(
 ) -> Iterator[tuple[UniverseAssignment, float]]:
     """The power iteration from ``u``: yields ``(U_t, f(U_t))`` for t = 0, 1, ...
 
-    The lift ``Wb U_t (U_t^T Wb U_t)`` is projected to ``U_{t+1}`` only when
-    the next item is requested, so a consumer that stops after ``U_t`` pays
-    for no extra projection.  The sequence never ends on its own.
+    The lift ``Wb U_t (U_t^T Wb U_t)`` is formed and projected to ``U_{t+1}``
+    only when the next item is requested, so a consumer that stops after
+    ``U_t`` pays for no extra projection.  The sequence never ends on its own.
     """
-    if u.index.sizes != wbar.index.sizes:
-        raise ValueError("initial assignment does not match the operator's index")
     while True:
-        p = wbar.times_assignment(u)
-        mid = _pool_rows(p, u.assignment, u.d)
-        yield u, float((mid * mid.T).sum())
-        u = project_to_universe(p @ mid, u.index)
+        p, mid, f = _evaluate(wbar, u)
+        yield u, f
+        u = _project(u, p, mid)
 
 
 def objective(wbar: WbarOperator, u: UniverseAssignment) -> float:
     """``f(U) = ||U^T Wb U||_F^2``, evaluated through gather/scatter products."""
-    return next(iterates(wbar, u))[1]
+    return _evaluate(wbar, u)[2]
+
+
+def _digest(u: UniverseAssignment) -> bytes:
+    return hashlib.blake2b(u.assignment, digest_size=16).digest()
 
 
 def hippi_solve(
@@ -176,27 +197,35 @@ def hippi_solve(
     """Run the projected power iteration from ``u0`` until an assignment repeats.
 
     Returns the final assignment together with a trace holding one objective
-    value per evaluated iterate.  The run stops at the first iterate equal to
-    an earlier one, a fixed point or a cycle, and then ``converged`` is True;
-    hitting ``max_iters`` first leaves it False.
-    One 16-byte digest is kept per iterate, so the check costs O(iterations)
-    memory whatever ``m`` is.
+    value per iterate.  The run stops at the first iterate equal to an earlier
+    one, a fixed point or a cycle, and then ``converged`` is True; hitting
+    ``max_iters`` first leaves it False.  A repeated iterate is recognised as
+    soon as the projection returns it, so the operator is never applied to it:
+    its trace entry is the objective recorded when it was first evaluated,
+    which the same assignment reproduces bit for bit.  The steps are those of
+    :func:`iterates`.  One 16-byte digest and one float are kept per iterate,
+    so the check costs O(iterations) memory whatever ``m`` is.
     """
     config = config or SolverConfig()
     objectives: list[float] = []
     wall: list[float] = []
-    seen: set[bytes] = set()
-    converged = False
+    seen: dict[bytes, float] = {}
     tic = time.perf_counter()
-    for u, f in islice(iterates(wbar, u0), config.max_iters):
+    u = u0
+    while True:
+        digest = _digest(u)
+        converged = digest in seen
+        if converged:
+            f = seen[digest]
+        else:
+            p, mid, f = _evaluate(wbar, u)
+            seen[digest] = f
         wall.append(time.perf_counter() - tic)
         objectives.append(f)
-        digest = hashlib.blake2b(u.assignment, digest_size=16).digest()
-        if digest in seen:
-            converged = True
+        if converged or len(objectives) == config.max_iters:
             break
-        seen.add(digest)
         tic = time.perf_counter()
+        u = _project(u, p, mid)
     trace = SolverTrace(
         objectives=np.asarray(objectives),
         wall_times=np.asarray(wall),

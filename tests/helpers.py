@@ -101,6 +101,67 @@ def naive_cycle_error(blocks: list[list[np.ndarray]]) -> float:
     return violations / total if total > 0 else 0.0
 
 
+def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """Follow two match maps; any unmatched hop yields -1."""
+    out = np.full(first.shape, -1, dtype=np.int64)
+    hit = first >= 0
+    out[hit] = then[first[hit]]
+    return out
+
+
+def _inverse_map(mp: np.ndarray, target_size: int) -> np.ndarray:
+    inv = np.full(target_size, -1, dtype=np.int64)
+    src = np.flatnonzero(mp >= 0)
+    inv[mp[src]] = src
+    return inv
+
+
+def loop_cycle_violations(x) -> tuple[int, int, int]:
+    """(identity, symmetry, transitivity) counts with one Python loop per map or triple.
+
+    The same counting rules as ``metrics.verify_cycle_consistency``, one
+    composition at a time over the integer maps.
+    """
+    k, sizes = x.k, x.index.sizes
+    identity = 0
+    for i in range(k):
+        mp = x.block_map(i, i)
+        on_diagonal = mp == np.arange(sizes[i])
+        identity += int(np.sum(~on_diagonal & (mp >= 0)) * 2)
+        identity += int(np.sum(~on_diagonal & (mp < 0)))
+    symmetry = 0
+    for i in range(k):
+        for j in range(i, k):
+            forward = x.block_map(i, j)
+            backward = _inverse_map(x.block_map(j, i), sizes[i])
+            both = int(np.sum((forward >= 0) & (forward == backward)))
+            symmetry += int(np.sum(forward >= 0)) + int(np.sum(backward >= 0)) - 2 * both
+    transitivity = 0
+    for i in range(k):
+        for l in range(i, k):
+            direct = x.block_map(i, l)
+            for j in range(k):
+                comp = _compose(x.block_map(i, j), x.block_map(j, l))
+                transitivity += int(np.sum((comp >= 0) & (comp != direct)))
+    return identity, symmetry, transitivity
+
+
+def loop_cycle_error(x) -> float:
+    """``metrics.cycle_error`` with one Python loop iteration per ordered triple."""
+    k = x.k
+    violations = total = 0
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                if len({i, j, l}) < 3:
+                    continue
+                comp = _compose(x.block_map(i, j), x.block_map(j, l))
+                hit = comp >= 0
+                total += int(np.sum(hit))
+                violations += int(np.sum(hit & (comp != x.block_map(i, l))))
+    return violations / total if total > 0 else 0.0
+
+
 def random_assignment(rng: np.random.Generator, sizes, d) -> UniverseAssignment:
     idx = BlockIndex(tuple(sizes))
     cols = np.concatenate([rng.permutation(d)[:s] for s in sizes])

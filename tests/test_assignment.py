@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hippi import assignment
 from hippi.assignment import lap_exact, project_to_universe
 from hippi.core import BlockIndex, UniverseAssignment
 
@@ -138,3 +139,76 @@ def test_projection_rejects_bad_inputs():
     with pytest.raises(ValueError):
         project_to_universe(np.zeros((4, 4)), index)  # wrong row count
 
+
+
+def block_widths(monkeypatch) -> list[int]:
+    """Record the column count of every block LAP ``project_to_universe`` solves."""
+    widths = []
+    solve = assignment.lap_exact
+
+    def recording(scores):
+        widths.append(scores.shape[1])
+        return solve(scores)
+
+    monkeypatch.setattr(assignment, "lap_exact", recording)
+    return widths
+
+
+def block_score(v: np.ndarray, index: BlockIndex, u: UniverseAssignment, i: int) -> float:
+    return value(v[index.slice_of(i)], u.block(i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projection_drops_planted_zero_columns_exactly(data):
+    """Positive scores with planted all-zero columns: the LAPs run on the
+    nonzero columns only, and every block scores what the full LAP scores."""
+    sizes = tuple(
+        data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="sizes")
+    )
+    index = BlockIndex(sizes=sizes)
+    used = data.draw(st.integers(max(sizes), max(sizes) + 3), label="used")
+    zeros = data.draw(st.integers(1, 4), label="zeros")
+    integer = data.draw(st.booleans(), label="integer")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    d = used + zeros
+    if integer:  # small integers tie often
+        live = rng.integers(1, 4, size=(index.m, used)).astype(np.float64)
+    else:
+        live = rng.uniform(0.01, 1.0, size=(index.m, used))
+    v = np.zeros((index.m, d))
+    kept = np.sort(rng.choice(d, size=used, replace=False))
+    v[:, kept] = live
+    with pytest.MonkeyPatch.context() as mp:
+        widths = block_widths(mp)
+        u = project_to_universe(v, index)
+    assert widths == [used] * index.k
+    assert np.isin(u.assignment, kept).all()
+    for i in range(index.k):
+        full = v[index.slice_of(i)]
+        assert block_score(v, index, u, i) == value(full, lap_exact(full))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["zero entry", "negative entry", "too few nonzero columns", "no zero column"],
+)
+def test_projection_solves_full_width_unless_the_drop_is_exact(monkeypatch, case):
+    rng = np.random.default_rng(37)
+    index = BlockIndex(sizes=(3, 2))
+    v = np.zeros((index.m, 6))
+    v[:, [0, 2, 5]] = rng.uniform(0.5, 1.0, size=(index.m, 3))
+    if case == "zero entry":
+        v[4, 2] = 0.0
+    elif case == "negative entry":
+        v[1, 5] = -0.25
+    elif case == "too few nonzero columns":
+        v[:, [2, 5]] = 0.0  # one nonzero column for a block of three rows
+    else:
+        v[:, [1, 3, 4]] = rng.uniform(0.5, 1.0, size=(index.m, 3))
+    widths = block_widths(monkeypatch)
+    u = project_to_universe(v, index)
+    assert widths == [6, 6]
+    for i in range(index.k):
+        best, _ = brute_force_lap(v[index.slice_of(i)])
+        assert block_score(v, index, u, i) == pytest.approx(best, rel=1e-12)

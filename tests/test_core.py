@@ -176,6 +176,16 @@ class TestUniverseAssignment:
         with pytest.raises(ValueError):
             u.assignment[0] = 1
 
+    def test_slot_runs_group_points_by_occupied_slot(self):
+        d = 2**62  # runs are found by sorting, so d costs nothing
+        a = np.array([7, d - 1, 2, 7, 2, d - 1])
+        u = UniverseAssignment(assignment=a, d=d, index=BlockIndex((2, 2, 2)))
+        order, starts, occupied = u.slot_runs
+        assert occupied.tolist() == [2, 7, d - 1]
+        assert order.tolist() == [2, 4, 0, 3, 1, 5]
+        assert starts.tolist() == [0, 2, 4]
+        assert not order.flags.writeable
+
 
 class TestExpand:
     def test_single_shared_column(self):

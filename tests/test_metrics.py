@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, expand
 from hippi.metrics import CycleReport, MatchReport, cycle_error, fscore, verify_cycle_consistency
 
-from helpers import naive_cycle_error, naive_cycle_violations, random_assignment
+from helpers import (
+    loop_cycle_error,
+    loop_cycle_violations,
+    naive_cycle_error,
+    naive_cycle_violations,
+    random_assignment,
+)
 
 
 def three_cycle_with_broken_link() -> PairwiseMatchingSet:
@@ -108,6 +114,39 @@ def test_cycle_error_matches_dense_oracle(seed):
     u = random_assignment(rng, sizes, max(sizes) + 1)
     ms = corrupt(rng, expand(u))
     assert cycle_error(ms) == naive_cycle_error(dense_blocks(ms))
+
+
+def random_partial_maps(rng, sizes) -> PairwiseMatchingSet:
+    """Independent random partial injections for all k^2 maps, diagonal included."""
+    maps = []
+    for si in sizes:
+        row = []
+        for sj in sizes:
+            mp = np.full(si, -1, dtype=np.int64)
+            take = int(rng.integers(0, min(si, sj) + 1))
+            mp[rng.permutation(si)[:take]] = rng.permutation(sj)[:take]
+            row.append(mp)
+        maps.append(tuple(row))
+    return PairwiseMatchingSet(maps=tuple(maps), index=BlockIndex(tuple(sizes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    scramble=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_vectorised_consistency_matches_loop_oracle(sizes, scramble, seed):
+    """Both consistency measures against the one-triple-at-a-time loops, on
+    broken maps: corrupted expansions, or independent random injections."""
+    rng = np.random.default_rng(seed)
+    if scramble:
+        ms = random_partial_maps(rng, sizes)
+    else:
+        ms = corrupt(rng, expand(random_assignment(rng, sizes, max(sizes) + 1)))
+    report = verify_cycle_consistency(ms)
+    assert (report.identity, report.symmetry, report.transitivity) == loop_cycle_violations(ms)
+    assert cycle_error(ms) == loop_cycle_error(ms)
 
 
 def test_cycle_error_is_zero_without_triples():

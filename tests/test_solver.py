@@ -56,14 +56,23 @@ def test_objective_matches_quadruple_loop_oracle(seed):
     assert objective(op, u) == expected  # small-integer arithmetic is exact
 
 
+def split_by_occupancy(u: UniverseAssignment, dense: np.ndarray):
+    """``dense``'s columns of occupied slots, in slot order, and those of empty slots."""
+    occupied = np.zeros(u.d, dtype=bool)
+    occupied[u.assignment] = True
+    return dense[:, occupied], dense[:, ~occupied]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_times_assignment_matches_dense_product(seed):
+    """The product keeps the occupied slots' columns; the dropped ones are zero."""
     rng = np.random.default_rng(100 + seed)
     sizes = (3, 2, 4)
     op = integer_operator(rng, sizes)
     u = random_assignment(rng, sizes, 6)
-    direct = dense_wbar(op) @ u.to_dense()
-    assert np.array_equal(op.times_assignment(u), direct)
+    kept, dropped = split_by_occupancy(u, dense_wbar(op) @ u.to_dense())
+    assert np.array_equal(op.times_assignment(u), kept)
+    assert not dropped.any()
 
 
 def test_gather_handles_empty_universe_slots():
@@ -72,8 +81,9 @@ def test_gather_handles_empty_universe_slots():
     op = integer_operator(rng, index.sizes)
     u = UniverseAssignment(np.array([0, 4, 4, 0]), d=5, index=index)
     direct = dense_wbar(op) @ u.to_dense()
-    assert np.array_equal(op.times_assignment(u), direct)
-    assert np.all(op.times_assignment(u)[:, [1, 2, 3]] == 0.0)
+    assert u.slot_runs[2].tolist() == [0, 4]
+    assert np.array_equal(op.times_assignment(u), direct[:, [0, 4]])
+    assert np.all(direct[:, [1, 2, 3]] == 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 31, 32, 33, 97])
@@ -83,8 +93,12 @@ def test_row_blocked_gather_is_bit_identical_to_one_pass(m):
     d = m + 7
     assignment = rng.choice(d, size=m, replace=True)
     assignment[: min(m, 3)] = 0  # a shared slot; at least seven slots stay empty
-    got = solver._gather_columns(w, assignment, d)
-    assert np.array_equal(got.view(np.int64), unblocked_gather(w, assignment, d).view(np.int64))
+    # One point per object, so any slot may hold several points.
+    u = UniverseAssignment(assignment, d=d, index=BlockIndex((1,) * m))
+    order, starts, occupied = u.slot_runs
+    got = solver._gather_columns(w, order, starts)
+    want = unblocked_gather(w, assignment, d)[:, occupied]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_operator_validation():
@@ -212,14 +226,46 @@ def test_solve_projects_only_between_evaluated_iterates(monkeypatch):
     assert len(calls) == trace.iterations - 1
 
 
+def count_applies(monkeypatch) -> list[UniverseAssignment]:
+    """Record the assignment of every ``times_assignment`` call."""
+    applied = []
+    apply = WbarOperator.times_assignment
+
+    def counting(self, u):
+        applied.append(u)
+        return apply(self, u)
+
+    monkeypatch.setattr(WbarOperator, "times_assignment", counting)
+    return applied
+
+
+def test_fixed_point_is_not_applied_again(monkeypatch):
+    """The repeated final iterate is recognised before the operator runs on it."""
+    rng = np.random.default_rng(21)
+    sizes = (3, 4, 3)
+    op = integer_operator(rng, sizes)
+    u0 = random_assignment(rng, sizes, 5)
+    f_first = objective(op, u0)
+    applied = count_applies(monkeypatch)
+    u, trace = hippi_solve(op, u0)
+    assert trace.converged
+    assert trace.iterations >= 2
+    assert len(applied) == trace.iterations - 1
+    assert applied[-1] == u  # the fixed point was applied once, when first reached
+    assert trace.objectives[0] == f_first
+    assert trace.objectives[-1] == trace.objectives[-2]
+
+
 def test_stops_at_first_repeated_assignment(monkeypatch):
     """A projection that alternates between two assignments of different
-    objective is a 2-cycle; the solver stops when the first one comes back."""
+    objective is a 2-cycle; the solver stops when the first one comes back,
+    without applying the operator to it again."""
     rng = np.random.default_rng(31)
     sizes = (3, 4, 3)
     op = integer_operator(rng, sizes)
     a, b = random_assignment(rng, sizes, 5), random_assignment(rng, sizes, 5)
-    assert objective(op, a) != objective(op, b)
+    f_a, f_b = objective(op, a), objective(op, b)
+    assert f_a != f_b
     calls = []
 
     def alternate(v, index):
@@ -227,12 +273,26 @@ def test_stops_at_first_repeated_assignment(monkeypatch):
         return b if len(calls) % 2 else a
 
     monkeypatch.setattr(solver, "project_to_universe", alternate)
+    applied = count_applies(monkeypatch)
     u, trace = hippi_solve(op, a, SolverConfig(max_iters=50))
     assert trace.converged
     assert trace.iterations == 3
     assert len(calls) == 2
+    assert applied == [a, b]
     assert u is a
-    assert trace.objectives.tolist() == [objective(op, a), objective(op, b), objective(op, a)]
+    assert trace.objectives.tolist() == [f_a, f_b, f_a]
+    assert trace.objectives[-1].tobytes() == trace.objectives[0].tobytes()
+
+
+def test_repeat_on_the_last_allowed_iterate_counts_as_converged(monkeypatch):
+    rng = np.random.default_rng(31)
+    sizes = (3, 4, 3)
+    op = integer_operator(rng, sizes)
+    a = random_assignment(rng, sizes, 5)
+    monkeypatch.setattr(solver, "project_to_universe", lambda v, index: a)
+    _, trace = hippi_solve(op, a, SolverConfig(max_iters=2))
+    assert trace.converged
+    assert trace.iterations == 2
 
 
 def _assert_close(got, want, rtol=1e-12):
@@ -267,7 +327,9 @@ def test_fast_paths_match_dense_oracle(sizes, extra, with_adjacency, seed):
     u = random_assignment(rng, sizes, max(sizes) + extra)
     wbar, dense_u = dense_wbar(op), u.to_dense()
     mid = dense_u.T @ wbar @ dense_u
-    _assert_close(op.times_assignment(u), wbar @ dense_u)
+    kept, dropped = split_by_occupancy(u, wbar @ dense_u)
+    _assert_close(op.times_assignment(u), kept)
+    assert not dropped.any()
     lifts = []
     project = solver.project_to_universe
 
