@@ -4,17 +4,46 @@ The projection of a dense score matrix onto the set of universe assignments
 maximises ``<U, V>`` and decomposes into one independent rectangular LAP per
 object block (rows = points, columns = universe slots, rows <= columns,
 surplus columns simply stay free).  :func:`lap_exact` solves each block, a
-plain score array, exactly with scipy's Jonker-Volgenant implementation.  Its
+plain score array, exactly with scipy's shortest-augmenting-path solver.  Its
 cost grows with the number of columns, so all-zero columns, those of empty
 universe slots in the solver's lift, are left out whenever that is exact.
+
+scipy starts every solve from zero dual variables.  On the solver's lift,
+a positive product of non-negative kernels, a few column effects dominate
+every row, so the row maxima almost never point at the optimal columns and
+every augmenting path runs long.  A block of at least
+:data:`CENTRED_MIN_ROWS` rows whose scores are all positive is therefore
+handed to :func:`lap_exact` in an equivalent form with the same optima: only
+the columns some row ranks among its top ``n``, made square with zero rows,
+with each row's and then each column's mean subtracted (see
+:func:`project_to_universe` for why the optima do not change).  Smaller
+blocks, and scores with a zero or a negative entry, such as those of the
+spectral and greedy initialisations, are solved as they are.  Centring pays
+only on column-dominated scores: on a 250-row lift block it cut the solve
+from 40 to 15 ms, but on uniform random or tied small-integer scores of the
+same size it was 1.7 to 55 times slower than the plain solve.  Positive
+scores are the observable mark of the lift, which is column-dominated.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from hippi.core import BlockIndex, UniverseAssignment
+
+#: Fewest rows for which a positive block is solved in its centred square form.
+#: On lift blocks of ``bench_instance`` the plain solve took 13.5 ms at 32 rows
+#: and 31.0 ms at 48, the centred one 17.1 and 22.1 ms: break-even lies between.
+CENTRED_MIN_ROWS = 40
+
+#: Bound on a centred block's largest score times its column count.  Every
+#: row or column sum then stays within a quarter of the float range and every
+#: centred entry within twice the largest score, so no ``inf`` appears; a
+#: block beyond it is solved as it is.
+_CENTRED_MAX_TOTAL = sys.float_info.max / 4
 
 
 def lap_exact(scores: np.ndarray) -> np.ndarray:
@@ -34,12 +63,38 @@ def lap_exact(scores: np.ndarray) -> np.ndarray:
     return col_ind.astype(np.int64, copy=False)
 
 
-def project_to_universe(v: np.ndarray, index: BlockIndex) -> UniverseAssignment:
-    """Euclidean projection of a dense ``m x d`` score matrix onto assignments.
+def _solve_block(block: np.ndarray, positive: bool) -> np.ndarray:
+    """One block's columns: :func:`lap_exact` on the block, centred when that pays."""
+    n, c = block.shape
+    if not positive or n < CENTRED_MIN_ROWS or block.max() > _CENTRED_MAX_TOTAL / c:
+        return lap_exact(block)
+    keep = np.arange(c)
+    if c > n:
+        nth = np.partition(block, c - n, axis=1)[:, c - n : c - n + 1]
+        keep = np.flatnonzero((block >= nth).any(axis=0))
+        block = block[:, keep]
+    square = np.zeros((keep.size, keep.size))
+    np.subtract(block, block.mean(axis=1, keepdims=True), out=square[:n])
+    square -= square.mean(axis=0)
+    return keep[lap_exact(square)[:n]]
+
+
+def project_to_universe(
+    v: np.ndarray,
+    index: BlockIndex,
+    *,
+    columns: np.ndarray | None = None,
+    d: int | None = None,
+) -> UniverseAssignment:
+    """Euclidean projection of an ``m x d`` score matrix onto assignments.
 
     Maximises ``<U, V>`` over all valid universe assignments, which is the
     Euclidean projection because ``<U, U> = m`` is constant on the set.  Solves
     the k blocks independently, one :func:`lap_exact` call each.
+
+    ``v`` is either all ``d`` columns, or, given ``columns`` and ``d``, only
+    the columns of the slots ``columns`` (strictly ascending), every other
+    slot scoring zero: the solver's lift on its occupied slots.
 
     All-zero columns are left out of the LAPs when that cannot change the
     answer: let ``C`` be the columns of ``v`` that are not all zero.  If ``C``
@@ -51,20 +106,59 @@ def project_to_universe(v: np.ndarray, index: BlockIndex) -> UniverseAssignment:
     therefore uses ``C`` columns only, and the optima of the restricted LAP
     are exactly those of the full one.  Otherwise every block is solved over
     all ``d`` columns.
+
+    When every solved score is positive, a block of ``n >= CENTRED_MIN_ROWS``
+    rows and ``c`` columns goes to :func:`lap_exact` transformed in four
+    steps, none of which changes its set of optimal assignments:
+
+    1. Keep only the columns that some row ranks among its ``n`` largest
+       entries, ties included.  A row on a column below its own ``n``-th
+       largest entry has ``n`` better columns, at most ``n - 1`` of them
+       taken by the other rows, and moving to a free one raises the score:
+       no optimum uses such a column.
+    2. Subtract each row's mean.  Every row is assigned exactly once, so
+       every assignment's score falls by the same sum.
+    3. Pad with zero rows to a square block.  Any assignment of the real
+       rows extends to a permutation, and the padding rows add zero.
+    4. Subtract each column's mean.  In a square problem every column is
+       used exactly once, so again every score shifts by one constant.
+
+    The padding rows' columns are discarded.  The centred scores make the
+    row and column maxima agree with the optimum far more often, which is
+    what shortens scipy's augmenting paths.  Scores so large that centring
+    could overflow are solved as they are.
     """
     v = np.asarray(v, dtype=np.float64)
+    if (columns is None) != (d is None):
+        raise ValueError("columns and d must be given together")
     if v.ndim != 2 or v.shape[0] != index.m:
         raise ValueError(f"scores must be ({index.m}, d), got {v.shape}")
-    d = v.shape[1]
+    if columns is None:
+        d = v.shape[1]
+    else:
+        columns = np.asarray(columns)
+        d = int(d)
+        if (
+            columns.shape != (v.shape[1],)
+            or (np.diff(columns) <= 0).any()
+            or (columns.size and (columns[0] < 0 or columns[-1] >= d))
+        ):
+            raise ValueError(f"columns must be {v.shape[1]} ascending slots in [0, {d})")
     if d < max(index.sizes):
         raise ValueError(f"universe size {d} is smaller than the largest object")
-    used = np.flatnonzero(v.any(axis=0))
-    if max(index.sizes) <= used.size < d:
-        restricted = np.take(v, used, axis=1)
-        if restricted.min() > 0:
-            v = restricted
-    cols = np.concatenate([lap_exact(v[index.slice_of(i)]) for i in range(index.k)])
-    if v.shape[1] < d:
-        cols = used[cols]
+    raw = v
+    slots = np.arange(d) if columns is None else columns
+    nonzero = np.flatnonzero(v.any(axis=0))
+    if nonzero.size < v.shape[1]:
+        v, slots = np.take(v, nonzero, axis=1), slots[nonzero]
+    positive = v.shape[1] >= max(index.sizes) and v.min() > 0
+    if not positive and v.shape[1] < d:
+        v, slots = raw, np.arange(d)
+        if columns is not None:
+            v = np.zeros((index.m, d))
+            v[:, columns] = raw
+    cols = slots[
+        np.concatenate([_solve_block(v[index.slice_of(i)], positive) for i in range(index.k)])
+    ]
     cols.setflags(write=False)
     return UniverseAssignment(assignment=cols, d=d, index=index)

@@ -13,9 +13,11 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -59,6 +61,19 @@ def _exactly_symmetric(a: np.ndarray) -> bool:
     )
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an ``int``; a bool, a fractional number or a non-number raises.
+
+    The ``ValueError`` names ``what``.  An integral float such as ``2.0`` is
+    accepted, since JSON writers may emit one.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN or infinite entries of a 2-D array, naming the first bad row."""
     bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
@@ -73,7 +88,7 @@ class BlockIndex:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(as_integer(s, f"object {i}: size") for i, s in enumerate(self.sizes))
         if len(sizes) == 0:
             raise ValueError("need at least one object")
         if any(s < 1 for s in sizes):
@@ -268,21 +283,39 @@ class MultiAdjacency:
     ``PSD_TOL`` (smallest eigenvalue >= -PSD_TOL * ||A_i||); that expectation
     is diagnosed, not enforced here, so that `kernels.assert_psd` can inspect
     and repair offending blocks.  The global matrix is never materialised.
+
+    Each run of consecutive equal-size blocks is stored as one read-only
+    ``(count, size, size)`` stack, and ``blocks`` holds views into the stacks,
+    so :meth:`matmul` makes one batched product per run instead of one per
+    block, and no block is held twice.
     """
 
     blocks: tuple[np.ndarray, ...]
     index: BlockIndex
+    _runs: tuple[tuple[slice, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = tuple(_owned(b, np.float64) for b in self.blocks)
-        if len(blocks) != self.index.k:
+        idx = self.index
+        if len(self.blocks) != idx.k:
             raise ValueError("need one adjacency block per object")
-        for i, (b, s) in enumerate(zip(blocks, self.index.sizes)):
+        blocks = []
+        for i, (b, s) in enumerate(zip(self.blocks, idx.sizes)):
+            b = np.asarray(b, dtype=np.float64)
             if b.shape != (s, s):
                 raise ValueError(f"block {i} must be ({s}, {s}), got {b.shape}")
             if not np.array_equal(b, b.T):
                 raise ValueError(f"block {i} must be exactly symmetric")
-        object.__setattr__(self, "blocks", blocks)
+            blocks.append(b)
+        runs, views, first = [], [], 0
+        for _, run in groupby(idx.sizes):
+            last = first + len(list(run))
+            stack = np.stack(blocks[first:last])
+            stack.setflags(write=False)
+            runs.append((slice(idx.offsets[first], idx.offsets[last]), stack))
+            views.extend(stack)
+            first = last
+        object.__setattr__(self, "blocks", tuple(views))
+        object.__setattr__(self, "_runs", tuple(runs))
 
     @property
     def m(self) -> int:
@@ -292,10 +325,13 @@ class MultiAdjacency:
         """Apply the block-diagonal matrix to a global vector or matrix."""
         if x.shape[0] != self.index.m:
             raise ValueError(f"operand must have {self.index.m} rows, got {x.shape[0]}")
-        out = np.empty_like(x, dtype=np.float64)
-        for i, b in enumerate(self.blocks):
-            s = self.index.slice_of(i)
-            out[s] = b @ x[s]
+        # C order, so each run's rows of ``out`` reshape to a view that matmul fills.
+        out = np.empty(x.shape)
+        for rows, stack in self._runs:
+            count, size, _ = stack.shape
+            np.matmul(
+                stack, x[rows].reshape(count, size, -1), out=out[rows].reshape(count, size, -1)
+            )
         return out
 
     def __eq__(self, other) -> bool:
@@ -322,7 +358,7 @@ class UniverseAssignment:
 
     def __post_init__(self):
         a = _owned(self.assignment, np.int64)
-        d = int(self.d)
+        d = as_integer(self.d, "universe size d")
         idx = self.index
         if a.shape != (idx.m,):
             raise ValueError(f"assignment must have length {idx.m}, got {a.shape}")

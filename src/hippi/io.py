@@ -14,7 +14,13 @@ import json
 
 import numpy as np
 
-from hippi.core import BlockIndex, PairwiseMatchingSet, ProblemInstance, UniverseAssignment
+from hippi.core import (
+    BlockIndex,
+    PairwiseMatchingSet,
+    ProblemInstance,
+    UniverseAssignment,
+    as_integer,
+)
 from hippi.metrics import MatchReport
 from hippi.solver import SolverTrace
 
@@ -61,6 +67,20 @@ def _load(path, expected_format: str) -> dict:
     return document
 
 
+def _integers(values, row_name) -> np.ndarray:
+    """A JSON list of integers as ``int64``; ``row_name(r)`` names entry ``r`` in errors.
+
+    Checked entry by entry, because numpy would turn ``true`` into 1 and
+    truncate ``1.7`` to 1 without a word.
+    """
+    ints = [v if type(v) is int else as_integer(v, row_name(r)) for r, v in enumerate(values)]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        r = next(r for r, v in enumerate(ints) if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{row_name(r)} {ints[r]} does not fit in 64 bits") from None
+
+
 def save_problem(p: ProblemInstance, path) -> None:
     document = {
         "format": PROBLEM_FORMAT,
@@ -85,11 +105,16 @@ def load_problem(path) -> ProblemInstance:
         points = tuple(np.asarray(pts, dtype=np.float64) for pts in doc["points"])
         features = tuple(np.asarray(f, dtype=np.float64) for f in doc["features"])
         gt = doc.get("ground_truth")
+        if gt is not None:
+            gt = tuple(
+                _integers(g, lambda r: f"object {i} row {r}: ground-truth label")
+                for i, g in enumerate(gt)
+            )
         dist = doc.get("distances")
         return ProblemInstance(
             points=points,
             features=features,
-            ground_truth=None if gt is None else tuple(np.asarray(g) for g in gt),
+            ground_truth=gt,
             distances=None if dist is None else tuple(np.asarray(x) for x in dist),
             seed=doc.get("seed"),
         )
@@ -111,10 +136,17 @@ def save_assignment(u: UniverseAssignment, path) -> None:
 def load_assignment(path) -> UniverseAssignment:
     doc = _load(path, ASSIGNMENT_FORMAT)
     try:
-        index = BlockIndex(sizes=tuple(int(s) for s in doc["sizes"]))
+        index = BlockIndex(sizes=tuple(doc["sizes"]))
+
+        def row_name(r: int) -> str:
+            if r >= index.m:
+                return f"assignment entry {r}"
+            i, p = index.global_to_local(r)
+            return f"object {i} row {p}: slot"
+
         return UniverseAssignment(
-            assignment=np.asarray(doc["assignment"], dtype=np.int64),
-            d=int(doc["d"]),
+            assignment=_integers(doc["assignment"], row_name),
+            d=doc["d"],
             index=index,
         )
     except (KeyError, TypeError) as exc:
@@ -136,15 +168,18 @@ def load_pairwise(path) -> PairwiseMatchingSet:
     """Rebuild a full matching set: mirrored cross blocks, identity diagonal."""
     doc = _load(path, PAIRWISE_FORMAT)
     try:
-        index = BlockIndex(sizes=tuple(int(s) for s in doc["sizes"]))
+        index = BlockIndex(sizes=tuple(doc["sizes"]))
         maps = [
             [np.full(index.sizes[i], -1, dtype=np.int64) for _ in range(index.k)]
             for i in range(index.k)
         ]
         for i in range(index.k):
             maps[i][i] = np.arange(index.sizes[i], dtype=np.int64)
-        for entry in doc["matches"]:
-            i, p, j, q = (int(v) for v in entry)
+        for e, entry in enumerate(doc["matches"]):
+            i, p, j, q = (
+                v if type(v) is int else as_integer(v, f"match {e} field {r}")
+                for r, v in enumerate(entry)
+            )
             if not (0 <= i < index.k and 0 <= j < index.k) or i == j:
                 raise ValueError(f"match {entry} names an invalid object pair")
             if not (0 <= p < index.sizes[i] and 0 <= q < index.sizes[j]):

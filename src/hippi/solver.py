@@ -18,7 +18,8 @@ gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies.  A
 column of ``Wb U``, ``U^T Wb U`` or the lift that belongs to an empty slot is
 exactly zero, so every product runs on the ``d_occ <= min(m, d)`` occupied
 slots only: one iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs over the used
-columns (see :func:`~hippi.assignment.project_to_universe`).  The gather
+columns, and the lift reaches :func:`~hippi.assignment.project_to_universe`
+in that compact ``m x d_occ`` form with its slot numbers.  The gather
 ``W U`` runs over blocks of :data:`GATHER_ROWS` rows, so it never copies all
 of ``W``: each block's permuted columns stay in cache, and each output entry
 sums the same elements in the same order as an unblocked pass would.
@@ -159,10 +160,8 @@ def _evaluate(wbar: WbarOperator, u: UniverseAssignment) -> tuple[np.ndarray, np
 
 
 def _project(u: UniverseAssignment, p: np.ndarray, mid: np.ndarray) -> UniverseAssignment:
-    """The next iterate: the lift ``Wb U (U^T Wb U)``, scattered to ``m x d``, projected."""
-    v = np.zeros((u.m, u.d))
-    v[:, u.slot_runs[2]] = p @ mid
-    return project_to_universe(v, u.index)
+    """The next iterate: the lift ``Wb U (U^T Wb U)`` on the occupied slots, projected."""
+    return project_to_universe(p @ mid, u.index, columns=u.slot_runs[2], d=u.d)
 
 
 def iterates(

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from hippi import assignment
-from hippi.assignment import lap_exact, project_to_universe
+from hippi import assignment, baselines
+from hippi.assignment import CENTRED_MIN_ROWS, lap_exact, project_to_universe
+from hippi.baselines import greedy_init, pairwise_lap_matchings, spectral_sync
+from hippi.cli import bench_instance
 from hippi.core import BlockIndex, UniverseAssignment
+from hippi.kernels import KernelConfig, build_similarity
 
 from helpers import brute_force_lap, random_assignment
 
@@ -141,17 +145,17 @@ def test_projection_rejects_bad_inputs():
 
 
 
-def block_widths(monkeypatch) -> list[int]:
-    """Record the column count of every block LAP ``project_to_universe`` solves."""
-    widths = []
+def lap_inputs(monkeypatch) -> list[np.ndarray]:
+    """Record a copy of every score block ``lap_exact`` is called on."""
+    inputs = []
     solve = assignment.lap_exact
 
     def recording(scores):
-        widths.append(scores.shape[1])
+        inputs.append(np.array(scores))
         return solve(scores)
 
     monkeypatch.setattr(assignment, "lap_exact", recording)
-    return widths
+    return inputs
 
 
 def block_score(v: np.ndarray, index: BlockIndex, u: UniverseAssignment, i: int) -> float:
@@ -180,9 +184,9 @@ def test_projection_drops_planted_zero_columns_exactly(data):
     kept = np.sort(rng.choice(d, size=used, replace=False))
     v[:, kept] = live
     with pytest.MonkeyPatch.context() as mp:
-        widths = block_widths(mp)
+        inputs = lap_inputs(mp)
         u = project_to_universe(v, index)
-    assert widths == [used] * index.k
+    assert [s.shape[1] for s in inputs] == [used] * index.k
     assert np.isin(u.assignment, kept).all()
     for i in range(index.k):
         full = v[index.slice_of(i)]
@@ -206,9 +210,180 @@ def test_projection_solves_full_width_unless_the_drop_is_exact(monkeypatch, case
         v[:, [2, 5]] = 0.0  # one nonzero column for a block of three rows
     else:
         v[:, [1, 3, 4]] = rng.uniform(0.5, 1.0, size=(index.m, 3))
-    widths = block_widths(monkeypatch)
+    inputs = lap_inputs(monkeypatch)
     u = project_to_universe(v, index)
-    assert widths == [6, 6]
+    assert [s.shape[1] for s in inputs] == [6, 6]
     for i in range(index.k):
         best, _ = brute_force_lap(v[index.slice_of(i)])
         assert block_score(v, index, u, i) == pytest.approx(best, rel=1e-12)
+
+
+def raw_lap_value(scores: np.ndarray) -> float:
+    """What scipy's LAP scores on the block as it is."""
+    _, cols = linear_sum_assignment(scores, maximize=True)
+    return value(scores, cols)
+
+
+def column_dominated(rng, m: int, d: int, ties: bool) -> np.ndarray:
+    """Positive integer scores in which column effects dominate, as in the solver's lift.
+
+    Integers sum without rounding, so an optimum is recognised exactly; with
+    ``ties`` the entries are small and many assignments share the optimum.
+    """
+    if ties:
+        return (4 * rng.integers(1, 4, size=(1, d)) + rng.integers(0, 3, size=(m, d))).astype(float)
+    col = rng.integers(1_000, 100_000, size=(1, d))
+    row = rng.integers(1, 50, size=(m, 1))
+    return (col * row + rng.integers(0, 5_000, size=(m, d))).astype(float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_centred_blocks_score_what_the_raw_lap_scores(data):
+    """Ragged objects on both sides of ``CENTRED_MIN_ROWS``, square, near-square and
+    wide blocks, tied small integers and magnitudes near 1e300: every block scores
+    exactly the raw optimum, and every large block reaches ``lap_exact`` as a finite
+    square that is not the raw block."""
+    small = st.integers(1, 5)
+    large = st.integers(CENTRED_MIN_ROWS, CENTRED_MIN_ROWS + 20)
+    sizes = tuple(
+        data.draw(st.lists(st.one_of(small, large), min_size=1, max_size=3), label="sizes")
+    )
+    index = BlockIndex(sizes)
+    top = max(sizes)
+    extra = data.draw(
+        st.one_of(st.just(0), st.integers(1, 4), st.integers(top // 2, 2 * top)), label="extra"
+    )
+    ties = data.draw(st.booleans(), label="ties")
+    scale = data.draw(st.sampled_from([1.0, 2.0**970]), label="scale")  # 2**970 ~ 1e292
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    v = column_dominated(rng, index.m, top + extra, ties) * scale
+    with pytest.MonkeyPatch.context() as mp:
+        inputs = lap_inputs(mp)
+        u = project_to_universe(v, index)
+    assert len(inputs) == index.k
+    for i, solved in enumerate(inputs):
+        block = v[index.slice_of(i)]
+        assert block_score(v, index, u, i) == raw_lap_value(block)
+        if sizes[i] < CENTRED_MIN_ROWS:
+            assert np.array_equal(solved, block)
+        else:
+            assert solved.shape[0] == solved.shape[1] >= sizes[i]
+            assert np.isfinite(solved).all()
+            assert not np.array_equal(solved, block)
+
+
+def test_scores_near_float_max_are_solved_as_they_are(monkeypatch):
+    """Centring could overflow here, so the raw block goes to ``lap_exact``."""
+    rng = np.random.default_rng(41)
+    index = BlockIndex((CENTRED_MIN_ROWS, CENTRED_MIN_ROWS + 2))
+    v = rng.uniform(0.5, 1.0, size=(index.m, CENTRED_MIN_ROWS + 30)) * 2e306
+    inputs = lap_inputs(monkeypatch)
+    u = project_to_universe(v, index)
+    for i, solved in enumerate(inputs):
+        assert np.array_equal(solved, v[index.slice_of(i)])
+        assert block_score(v, index, u, i) == raw_lap_value(v[index.slice_of(i)])
+
+
+@pytest.mark.parametrize("case", ["small blocks", "zero entry", "negative entry"])
+def test_blocks_outside_the_gate_reach_the_lap_unchanged(monkeypatch, case):
+    rng = np.random.default_rng(43)
+    n = CENTRED_MIN_ROWS - 1 if case == "small blocks" else CENTRED_MIN_ROWS + 5
+    index = BlockIndex((n, n - 3))
+    v = column_dominated(rng, index.m, n + 20, ties=False)
+    if case == "zero entry":
+        v[3, 7] = 0.0
+    elif case == "negative entry":
+        v[n + 2, 11] = -1.0
+    inputs = lap_inputs(monkeypatch)
+    project_to_universe(v, index)
+    assert len(inputs) == index.k
+    for i, solved in enumerate(inputs):
+        assert np.array_equal(solved, v[index.slice_of(i)])
+
+
+@pytest.mark.parametrize("method", ["greedy", "spectral"])
+def test_initialisations_keep_the_raw_block_path(monkeypatch, method):
+    """Their scores hold zeros or negatives, so even objects of at least
+    ``CENTRED_MIN_ROWS`` points are solved on the raw blocks, with the
+    same result as a plain per-block ``lap_exact``."""
+    problem = bench_instance(4 * (CENTRED_MIN_ROWS + 5), CENTRED_MIN_ROWS + 5, 3)
+    w = build_similarity(problem, KernelConfig())
+    d = 2 * (CENTRED_MIN_ROWS + 5)
+
+    def init():
+        if method == "greedy":
+            return greedy_init(w, d)
+        return spectral_sync(pairwise_lap_matchings(w), d)
+
+    scores = []
+    project = baselines.project_to_universe
+
+    def capture(v, index):
+        scores.append(np.array(v))
+        return project(v, index)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "project_to_universe", capture)
+        mp.setattr(assignment, "_solve_block", lambda block, positive: lap_exact(block))
+        plain = init()
+    scores.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "project_to_universe", capture)
+        inputs = lap_inputs(mp)
+        got = init()
+    assert got == plain
+    (v,) = scores
+    assert v.min() <= 0
+    blocks = inputs[-problem.k :]  # spectral's pairwise LAPs come first
+    for i, solved in enumerate(blocks):
+        assert np.array_equal(solved, v[problem.index.slice_of(i)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compact_lift_projects_like_its_scattered_form(data):
+    """``columns``/``d`` give the same assignment as the zero-filled ``m x d`` call,
+    on positive, tied, zero-holding and negative scores and on all-zero columns."""
+    sizes = tuple(
+        data.draw(
+            st.lists(st.one_of(st.integers(1, 5), st.just(CENTRED_MIN_ROWS)), min_size=1, max_size=3),
+            label="sizes",
+        )
+    )
+    index = BlockIndex(sizes)
+    d = max(sizes) + data.draw(st.integers(0, 6), label="extra")
+    width = data.draw(st.integers(0, d), label="occupied")
+    kind = data.draw(
+        st.sampled_from(["positive", "ties", "zero entry", "negative", "zero column"]), label="kind"
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    columns = np.sort(rng.choice(d, size=width, replace=False))
+    compact = column_dominated(rng, index.m, width, ties=kind == "ties")
+    if width and kind == "zero entry":
+        compact[rng.integers(index.m), rng.integers(width)] = 0.0
+    elif width and kind == "negative":
+        compact[rng.integers(index.m), rng.integers(width)] = -2.0
+    elif width and kind == "zero column":
+        compact[:, rng.integers(width)] = 0.0
+    dense = np.zeros((index.m, d))
+    dense[:, columns] = compact
+    got = project_to_universe(compact, index, columns=columns, d=d)
+    assert got == project_to_universe(dense, index)
+
+
+def test_compact_lift_arguments_are_checked():
+    index = BlockIndex((2, 2))
+    v = np.ones((4, 3))
+    for kwargs in (
+        {"columns": np.array([0, 1, 2])},
+        {"d": 4},
+        {"columns": np.array([0, 2, 1]), "d": 4},
+        {"columns": np.array([0, 1, 1]), "d": 4},
+        {"columns": np.array([0, 1, 4]), "d": 4},
+        {"columns": np.array([-1, 1, 2]), "d": 4},
+        {"columns": np.array([0, 1]), "d": 4},
+        {"columns": np.array([0, 1, 2]), "d": 1},
+    ):
+        with pytest.raises(ValueError):
+            project_to_universe(v, index, **kwargs)

@@ -353,3 +353,73 @@ class TestUsageErrors:
         p = tmp_path / "p.json"
         p.write_text("{}")
         assert run(["solve", "--problem", p, "--config", cfg]) == cli.EXIT_DATA
+
+
+class TestIntegerFields:
+    """A fractional or boolean value in an integer field is a data error naming
+    where it sits, never a silent truncation."""
+
+    @pytest.fixture
+    def assignment_doc(self, problem_path, tmp_path):
+        run(["solve", "--problem", problem_path, "--out", tmp_path / "run", "--seed", "1"])
+        return json.loads((tmp_path / "run" / "assignment.json").read_text())
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("value", [2.9, True])
+    def test_object_size(self, assignment_doc, tmp_path, capsys, value):
+        assignment_doc["sizes"][1] = value
+        bad = self.write(tmp_path, assignment_doc)
+        assert run(["verify", "--assignment", bad]) == cli.EXIT_DATA
+        assert f"object 1: size must be an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3.5, True])
+    def test_universe_size(self, problem_path, assignment_doc, tmp_path, capsys, value):
+        assignment_doc["d"] = value
+        bad = self.write(tmp_path, assignment_doc)
+        assert run(["eval", "--problem", problem_path, "--assignment", bad,
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert f"universe size d must be an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.7, True])
+    def test_assignment_slot(self, problem_path, assignment_doc, tmp_path, capsys, value):
+        sizes = assignment_doc["sizes"]
+        assignment_doc["assignment"][sizes[0] + 1] = value
+        bad = self.write(tmp_path, assignment_doc)
+        assert run(["eval", "--problem", problem_path, "--assignment", bad,
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"object 1 row 1: slot must be an integer, got {value!r}" in err
+
+    def test_assignment_slot_beyond_64_bits(self, problem_path, assignment_doc, tmp_path, capsys):
+        assignment_doc["assignment"][1] = 2**63
+        bad = self.write(tmp_path, assignment_doc)
+        assert run(["eval", "--problem", problem_path, "--assignment", bad,
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert f"object 0 row 1: slot {2**63} does not fit in 64 bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.9, False])
+    def test_ground_truth_label(self, problem_path, tmp_path, capsys, value):
+        doc = json.loads(problem_path.read_text())
+        doc["ground_truth"][2][3] = value
+        bad = self.write(tmp_path, doc)
+        assert run(["solve", "--problem", bad, "--out", tmp_path / "x",
+                    "--seed", "1"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"object 2 row 3: ground-truth label must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_pairwise_match_field(self, tmp_path, capsys, value):
+        doc = {
+            "format": io.PAIRWISE_FORMAT,
+            "version": io.FORMAT_VERSION,
+            "sizes": [2, 2],
+            "matches": [[0, 0, 1, 0], [0, value, 1, 1]],
+        }
+        bad = self.write(tmp_path, doc)
+        assert run(["verify", "--pairwise", bad]) == cli.EXIT_DATA
+        assert f"match 1 field 1 must be an integer, got {value!r}" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hippi.core import (
     BlockIndex,
+    MultiAdjacency,
     PairwiseMatchingSet,
     ProblemInstance,
     SimilarityMatrix,
@@ -46,6 +47,14 @@ class TestBlockIndex:
             BlockIndex(())
         with pytest.raises(ValueError):
             BlockIndex((3, 0))
+
+    @pytest.mark.parametrize("bad", [2.9, True, "2", None])
+    def test_non_integer_size_rejected_naming_the_object(self, bad):
+        with pytest.raises(ValueError, match="object 1: size must be an integer"):
+            BlockIndex((3, bad))
+
+    def test_integral_float_and_numpy_sizes_accepted(self):
+        assert BlockIndex((2.0, np.int32(3))).sizes == (2, 3)
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
     def test_round_trip_bijection(self, sizes):
@@ -137,6 +146,57 @@ class TestSimilarityMatrix:
         s = SimilarityMatrix(data=view, index=self.index)
         base[0, 2] = base[2, 0] = 0.75
         assert np.array_equal(s.data, self.valid())
+
+
+class TestMultiAdjacency:
+    @staticmethod
+    def loop_matmul(blocks, index, x):
+        """The per-block reference: one product per object."""
+        out = np.empty_like(x, dtype=np.float64)
+        for i, b in enumerate(blocks):
+            out[index.slice_of(i)] = b @ x[index.slice_of(i)]
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from([1, 2, 3, 20, 37]), min_size=1, max_size=8),
+        width=st.integers(0, 45),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_batched_matmul_is_bit_identical_to_per_block_loop(self, sizes, width, fortran, seed):
+        """Runs of equal sizes and ragged neighbours; ``width = 0`` is a vector."""
+        rng = np.random.default_rng(seed)
+        index = BlockIndex(tuple(sizes))
+        blocks = []
+        for s in sizes:
+            b = rng.normal(size=(s, s))
+            blocks.append(b + b.T)
+        a = MultiAdjacency(blocks=tuple(blocks), index=index)
+        x = rng.normal(size=(index.m, width) if width else index.m)
+        if fortran:
+            x = np.asfortranarray(x)
+        got = a.matmul(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == self.loop_matmul(blocks, index, x).tobytes()
+
+    def test_blocks_are_read_only_views_of_one_stack_per_run(self):
+        index = BlockIndex((2, 2, 3, 2))
+        a = MultiAdjacency(blocks=tuple(np.eye(s) for s in index.sizes), index=index)
+        stacks = [b.base for b in a.blocks]
+        assert stacks[0] is stacks[1]
+        assert len({id(s) for s in stacks}) == 3
+        assert [s.shape for s in stacks[1:]] == [(2, 2, 2), (1, 3, 3), (1, 2, 2)]
+        for b in a.blocks:
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 2.0
+
+    def test_input_blocks_are_copied(self):
+        block = np.eye(3)
+        a = MultiAdjacency(blocks=(block,), index=BlockIndex((3,)))
+        block[0, 0] = 5.0
+        assert a.blocks[0][0, 0] == 1.0
 
 
 class TestUniverseAssignment:

@@ -213,9 +213,9 @@ def test_solve_projects_only_between_evaluated_iterates(monkeypatch):
     calls = []
     project = solver.project_to_universe
 
-    def counting(v, index):
+    def counting(v, index, *, columns, d):
         calls.append(index)
-        return project(v, index)
+        return project(v, index, columns=columns, d=d)
 
     monkeypatch.setattr(solver, "project_to_universe", counting)
     rng = np.random.default_rng(21)
@@ -268,7 +268,7 @@ def test_stops_at_first_repeated_assignment(monkeypatch):
     assert f_a != f_b
     calls = []
 
-    def alternate(v, index):
+    def alternate(v, index, *, columns, d):
         calls.append(index)
         return b if len(calls) % 2 else a
 
@@ -289,7 +289,7 @@ def test_repeat_on_the_last_allowed_iterate_counts_as_converged(monkeypatch):
     sizes = (3, 4, 3)
     op = integer_operator(rng, sizes)
     a = random_assignment(rng, sizes, 5)
-    monkeypatch.setattr(solver, "project_to_universe", lambda v, index: a)
+    monkeypatch.setattr(solver, "project_to_universe", lambda v, index, *, columns, d: a)
     _, trace = hippi_solve(op, a, SolverConfig(max_iters=2))
     assert trace.converged
     assert trace.iterations == 2
@@ -333,9 +333,11 @@ def test_fast_paths_match_dense_oracle(sizes, extra, with_adjacency, seed):
     lifts = []
     project = solver.project_to_universe
 
-    def capture(v, idx):
-        lifts.append(v)
-        return project(v, idx)
+    def capture(v, idx, *, columns, d):
+        lift = np.zeros((idx.m, d))
+        lift[:, columns] = v
+        lifts.append(lift)
+        return project(v, idx, columns=columns, d=d)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "project_to_universe", capture)
