@@ -5,8 +5,10 @@ maximises ``<U, V>`` and decomposes into one independent rectangular LAP per
 object block (rows = points, columns = universe slots, rows <= columns,
 surplus columns simply stay free).  :func:`lap_exact` solves each block, a
 plain score array, exactly with scipy's shortest-augmenting-path solver.  Its
-cost grows with the number of columns, so all-zero columns, those of empty
-universe slots in the solver's lift, are left out whenever that is exact.
+cost grows with the number of columns, so callers hand over only the columns
+of the slots that may score nonzero (the solver's lift on its occupied slots,
+an initialisation's anchor slots), and the empty slots, which score zero,
+are left out of the LAPs whenever that is exact.
 
 scipy starts every solve from zero dual variables.  On the solver's lift,
 a positive product of non-negative kernels, a few column effects dominate
@@ -92,20 +94,18 @@ def project_to_universe(
     Euclidean projection because ``<U, U> = m`` is constant on the set.  Solves
     the k blocks independently, one :func:`lap_exact` call each.
 
-    ``v`` is either all ``d`` columns, or, given ``columns`` and ``d``, only
-    the columns of the slots ``columns`` (strictly ascending), every other
-    slot scoring zero: the solver's lift on its occupied slots.
+    ``v`` holds the scores of the strictly ascending slots ``columns`` of a
+    universe of ``d`` slots; every other slot scores zero.  Without
+    ``columns`` and ``d``, ``v`` holds all ``d = v.shape[1]`` slots.
 
-    All-zero columns are left out of the LAPs when that cannot change the
-    answer: let ``C`` be the columns of ``v`` that are not all zero.  If ``C``
-    misses some column, ``|C| >= max_i m_i`` and every entry of ``v[:, C]`` is
-    positive, each block is solved on ``v[:, C]`` alone.  This is exact: in
-    any assignment of a block that puts a row on a zero column, fewer than
-    ``m_i <= |C|`` rows sit on ``C``, so some column of ``C`` is free, and
-    moving the row there raises the score by a positive entry.  Every optimum
-    therefore uses ``C`` columns only, and the optima of the restricted LAP
-    are exactly those of the full one.  Otherwise every block is solved over
-    all ``d`` columns.
+    If ``v`` has at least ``max_i m_i`` columns and every entry is positive,
+    each block is solved on ``v``'s columns alone; otherwise ``v`` is
+    scattered to all ``d`` slots and every block is solved over them.  This
+    is exact: an empty slot is a zero column, and in any assignment of a
+    block that puts a row on one, fewer than ``m_i`` rows sit on ``v``'s
+    columns, so one of them is free, and moving the row there raises the
+    score by a positive entry.  No optimum uses an empty slot, so the optima
+    of the restricted LAP are exactly those of the full one.
 
     When every solved score is positive, a block of ``n >= CENTRED_MIN_ROWS``
     rows and ``c`` columns goes to :func:`lap_exact` transformed in four
@@ -133,31 +133,23 @@ def project_to_universe(
         raise ValueError("columns and d must be given together")
     if v.ndim != 2 or v.shape[0] != index.m:
         raise ValueError(f"scores must be ({index.m}, d), got {v.shape}")
-    if columns is None:
-        d = v.shape[1]
-    else:
-        columns = np.asarray(columns)
-        d = int(d)
-        if (
-            columns.shape != (v.shape[1],)
-            or (np.diff(columns) <= 0).any()
-            or (columns.size and (columns[0] < 0 or columns[-1] >= d))
-        ):
-            raise ValueError(f"columns must be {v.shape[1]} ascending slots in [0, {d})")
-    if d < max(index.sizes):
-        raise ValueError(f"universe size {d} is smaller than the largest object")
-    raw = v
-    slots = np.arange(d) if columns is None else columns
-    nonzero = np.flatnonzero(v.any(axis=0))
-    if nonzero.size < v.shape[1]:
-        v, slots = np.take(v, nonzero, axis=1), slots[nonzero]
-    positive = v.shape[1] >= max(index.sizes) and v.min() > 0
-    if not positive and v.shape[1] < d:
-        v, slots = raw, np.arange(d)
-        if columns is not None:
-            v = np.zeros((index.m, d))
-            v[:, columns] = raw
-    cols = slots[
+    width, largest = v.shape[1], max(index.sizes)
+    d = width if d is None else int(d)
+    if d < largest:
+        raise ValueError(f"universe size {d} is smaller than the largest object ({largest})")
+    columns = np.arange(d) if columns is None else np.asarray(columns)
+    if (
+        columns.shape != (width,)
+        or (np.diff(columns) <= 0).any()
+        or (width and (columns[0] < 0 or columns[-1] >= d))
+    ):
+        raise ValueError(f"columns must be {width} ascending slots in [0, {d})")
+    positive = width >= largest and v.min() > 0
+    if not positive and width < d:
+        full = np.zeros((index.m, d))
+        full[:, columns] = v
+        v, columns = full, np.arange(d)
+    cols = columns[
         np.concatenate([_solve_block(v[index.slice_of(i)], positive) for i in range(index.k)])
     ]
     cols.setflags(write=False)

@@ -82,7 +82,6 @@ def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     rejected with a ``ValueError`` naming the pair.
     """
     idx = x.index
-    _require_universe(idx, d)
     for i in range(idx.k):
         for j in range(i + 1, idx.k):
             if not np.array_equal(x.maps[j][i], _inverse(x.maps[i][j], idx.sizes[j])):
@@ -96,26 +95,18 @@ def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     emb = vecs[:, top] * np.sqrt(np.abs(vals[top]))
     anchor = int(np.argmax(idx.sizes))
     anchor_rows = emb[idx.slice_of(anchor)]
-    scores = np.zeros((idx.m, d))
-    scores[:, : idx.sizes[anchor]] = emb @ anchor_rows.T
-    return project_to_universe(scores, idx)
+    return project_to_universe(
+        emb @ anchor_rows.T, idx, columns=np.arange(idx.sizes[anchor]), d=d
+    )
 
 
 def _as_index(problem) -> BlockIndex:
     return problem if isinstance(problem, BlockIndex) else problem.index
 
 
-def _require_universe(index: BlockIndex, d: int) -> None:
-    if d < max(index.sizes):
-        raise ValueError(
-            f"universe size {d} is smaller than the largest object ({max(index.sizes)})"
-        )
-
-
 def random_init(problem, d: int, seed=None) -> UniverseAssignment:
     """Uniformly random injection of each object's points into ``d`` slots."""
     idx = _as_index(problem)
-    _require_universe(idx, d)
     rng = np.random.default_rng(seed)
     cols = np.concatenate([rng.permutation(d)[:s] for s in idx.sizes])
     cols.setflags(write=False)
@@ -130,14 +121,11 @@ def greedy_init(w: SimilarityMatrix, d: int) -> UniverseAssignment:
     deterministic, and already cycle-consistent (as any universe assignment).
     """
     idx = w.index
-    _require_universe(idx, d)
     anchor = int(np.argmax(idx.sizes))
-    scores = np.zeros((idx.m, d))
-    scores[idx.slice_of(anchor), : idx.sizes[anchor]] = np.eye(idx.sizes[anchor])
-    for i in range(idx.k):
-        if i != anchor:
-            scores[idx.slice_of(i), : idx.sizes[anchor]] = w.block(i, anchor)
-    return project_to_universe(scores, idx)
+    rows, n = idx.slice_of(anchor), idx.sizes[anchor]
+    scores = w.data[:, rows].copy()
+    scores[rows] = np.eye(n)
+    return project_to_universe(scores, idx, columns=np.arange(n), d=d)
 
 
 def run_baseline(

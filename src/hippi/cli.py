@@ -1,8 +1,9 @@
 """Command-line surface: generate, solve, eval, bench, verify.
 
 Every run is driven by one :class:`RunConfig`, assembled from an optional
-JSON config file (sections "kernel", "solver", "generate", "run") overridden
-by command-line flags.  All randomness flows through the single seed, and the
+JSON config file (sections "kernel", "solver", "generate", "run") whose
+fields are overridden by the command-line flags of the same argparse
+``dest``.  All randomness flows through the single seed, and the
 data outputs (problem/assignment JSON, trace CSV) are byte-identical across
 reruns of the same configuration; wall-clock numbers appear only in report
 rows and logs.
@@ -19,14 +20,14 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from hippi import io
 from hippi.baselines import BASELINE_METHODS, greedy_init, random_init, run_baseline
-from hippi.core import ProblemInstance, expand
+from hippi.core import ProblemInstance, as_integer, expand, integer_fields
 from hippi.kernels import KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import cycle_error, fscore, verify_cycle_consistency
 from hippi.solver import (
@@ -80,6 +81,9 @@ class RunConfig:
     generator: GenConfig | None = None
 
     def __post_init__(self):
+        integer_fields(self, ("points_per_object", "bench_iters"), ("d", "seed"))
+        sizes = tuple(as_integer(s, f"sizes[{i}]") for i, s in enumerate(self.sizes))
+        object.__setattr__(self, "sizes", sizes)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.init not in INIT_METHODS:
@@ -94,15 +98,6 @@ class RunConfig:
             raise ValueError(f"points_per_object must be >= 1, got {self.points_per_object}")
 
 
-def _build_dataclass(factory, section: dict, overrides: dict):
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return factory(**merged)
-    except TypeError as exc:
-        raise ValueError(f"bad {factory.__name__} settings: {exc}") from exc
-
-
 def _config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -113,72 +108,30 @@ def _config_file(path: str | None) -> dict:
     return doc
 
 
+def _section(cls, values: dict, args: argparse.Namespace, **fixed):
+    """``cls`` from a config-file section and ``fixed``, each field overridden by its flag.
+
+    A flag overrides the field named like its argparse ``dest``; a flag not
+    given is ``None`` and overrides nothing.
+    """
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    try:
+        return cls(**{**values, **fixed, **{k: v for k, v in given.items() if v is not None}})
+    except TypeError as exc:
+        raise ValueError(f"bad {cls.__name__} settings: {exc}") from exc
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     doc = _config_file(getattr(args, "config", None))
-    run_section = dict(doc.get("run", {}))
-
-    kernel = _build_dataclass(
-        KernelConfig,
-        doc.get("kernel", {}),
-        {
-            "sigma": getattr(args, "sigma", None),
-            "mu": getattr(args, "mu", None),
-            "weight_mode": getattr(args, "weight_mode", None),
-            "knn_sparsify": getattr(args, "knn", None),
-        },
-    )
-    solver = _build_dataclass(
-        SolverConfig,
-        doc.get("solver", {}),
-        {"max_iters": getattr(args, "max_iters", None)},
-    )
     generator = None
     if args.command == "generate" or "generate" in doc:
-        generator = _build_dataclass(
-            GenConfig,
-            doc.get("generate", {}),
-            {
-                "k": getattr(args, "k", None),
-                "d_true": getattr(args, "d_true", None),
-                "visibility": getattr(args, "visibility", None),
-                "coord_noise_sigma": getattr(args, "coord_noise", None),
-                "feature_noise_sigma": getattr(args, "feature_noise", None),
-                "outlier_fraction": getattr(args, "outlier_fraction", None),
-                "occlusion_rect": (
-                    tuple(args.occlusion) if getattr(args, "occlusion", None) else None
-                ),
-                "transform_family": getattr(args, "transform", None),
-                "feature_dim": getattr(args, "feature_dim", None),
-                "feature_prototypes": getattr(args, "prototypes", None),
-                "seed": getattr(args, "seed", None),
-            },
-        )
-
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        if value is None:
-            value = run_section.get(key, default)
-        return value
-
-    return RunConfig(
-        command=args.command,
-        problem=getattr(args, "problem", None),
-        assignment=getattr(args, "assignment", None),
-        pairwise=getattr(args, "pairwise", None),
-        external=pick("external", "external", None),
-        out=pick("out", "out", "."),
-        method=pick("method", "method", "hippi"),
-        init=pick("init", "init", "random"),
-        d=pick("d", "d", None),
-        universe_rule=pick("universe_rule", "universe_rule", "twice-average"),
-        seed=pick("seed", "seed", None),
-        strict_psd=bool(getattr(args, "strict_psd", False) or run_section.get("strict_psd", False)),
-        sizes=tuple(pick("sizes", "sizes", (500, 1000, 2000))),
-        points_per_object=pick("points_per_object", "points_per_object", 20),
-        bench_iters=pick("bench_iters", "bench_iters", 3),
-        full_solve=bool(getattr(args, "full", False) or run_section.get("full_solve", False)),
-        kernel=kernel,
-        solver=solver,
+        generator = _section(GenConfig, doc.get("generate", {}), args)
+    return _section(
+        RunConfig,
+        doc.get("run", {}),
+        args,
+        kernel=_section(KernelConfig, doc.get("kernel", {}), args),
+        solver=_section(SolverConfig, doc.get("solver", {}), args),
         generator=generator,
     )
 
@@ -421,13 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int)
     gen.add_argument("--d-true", dest="d_true", type=int)
     gen.add_argument("--visibility", type=float)
-    gen.add_argument("--coord-noise", dest="coord_noise", type=float)
-    gen.add_argument("--feature-noise", dest="feature_noise", type=float)
+    gen.add_argument("--coord-noise", dest="coord_noise_sigma", type=float)
+    gen.add_argument("--feature-noise", dest="feature_noise_sigma", type=float)
     gen.add_argument("--outlier-fraction", dest="outlier_fraction", type=float)
-    gen.add_argument("--occlusion", nargs=4, type=float, metavar=("X", "Y", "W", "H"))
-    gen.add_argument("--transform", choices=("rigid", "similarity", "none"))
+    gen.add_argument("--occlusion", dest="occlusion_rect", nargs=4, type=float,
+                     metavar=("X", "Y", "W", "H"))
+    gen.add_argument("--transform", dest="transform_family",
+                     choices=("rigid", "similarity", "none"))
     gen.add_argument("--feature-dim", dest="feature_dim", type=int)
-    gen.add_argument("--prototypes", type=int)
+    gen.add_argument("--prototypes", dest="feature_prototypes", type=int)
 
     slv = sub.add_parser("solve", help="solve a problem file")
     common(slv)
@@ -441,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--mu", type=float)
     slv.add_argument("--weight-mode", dest="weight_mode",
                      choices=("constant", "intra-ratio"))
-    slv.add_argument("--knn", type=int)
+    slv.add_argument("--knn", dest="knn_sparsify", type=int)
     slv.add_argument("--max-iters", dest="max_iters", type=int)
-    slv.add_argument("--strict-psd", dest="strict_psd", action="store_true")
+    slv.add_argument("--strict-psd", dest="strict_psd", action="store_true", default=None)
     slv.add_argument("--external", help="assignment file for the external-file method")
 
     ev = sub.add_parser("eval", help="score an assignment against ground truth")
@@ -459,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--d", type=int)
     ben.add_argument("--points-per-object", dest="points_per_object", type=int)
     ben.add_argument("--iters", dest="bench_iters", type=int)
-    ben.add_argument("--full", action="store_true", help="also time full solves")
+    ben.add_argument("--full", dest="full_solve", action="store_true", default=None,
+                     help="also time full solves")
 
     ver = sub.add_parser("verify", help="check cycle consistency of a matching")
     common(ver)

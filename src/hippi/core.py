@@ -74,6 +74,17 @@ def as_integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def integer_fields(config, required=(), optional=()) -> None:
+    """Pass the named fields of a frozen dataclass through :func:`as_integer`.
+
+    A field named in ``optional`` may also be ``None``.
+    """
+    for name in (*required, *optional):
+        value = getattr(config, name)
+        if value is not None or name in required:
+            object.__setattr__(config, name, as_integer(value, name))
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN or infinite entries of a 2-D array, naming the first bad row."""
     bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
@@ -360,13 +371,13 @@ class UniverseAssignment:
         a = _owned(self.assignment, np.int64)
         d = as_integer(self.d, "universe size d")
         idx = self.index
-        if a.shape != (idx.m,):
-            raise ValueError(f"assignment must have length {idx.m}, got {a.shape}")
         if d < max(idx.sizes):
             raise ValueError(
                 f"universe size {d} is smaller than the largest object ({max(idx.sizes)}); "
                 "no valid assignment exists"
             )
+        if a.shape != (idx.m,):
+            raise ValueError(f"assignment must have length {idx.m}, got {a.shape}")
         if a.size and (a.min() < 0 or a.max() >= d):
             raise ValueError(f"universe columns must lie in [0, {d})")
         object.__setattr__(self, "assignment", a)

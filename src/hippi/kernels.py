@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from hippi.core import PSD_TOL, MultiAdjacency, ProblemInstance, SimilarityMatrix
+from hippi.core import PSD_TOL, MultiAdjacency, ProblemInstance, SimilarityMatrix, integer_fields
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +47,7 @@ class KernelConfig:
     knn_sparsify: int = 0
 
     def __post_init__(self):
+        integer_fields(self, ("knn_sparsify",))
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.mu > 0:

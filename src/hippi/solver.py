@@ -35,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hippi.assignment import project_to_universe
-from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment
+from hippi.core import (
+    BlockIndex,
+    MultiAdjacency,
+    SimilarityMatrix,
+    UniverseAssignment,
+    integer_fields,
+)
 
 UNIVERSE_RULES = ("twice-average", "max-block")
 
@@ -50,6 +56,7 @@ class SolverConfig:
     max_iters: int = 200
 
     def __post_init__(self):
+        integer_fields(self, ("max_iters",))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

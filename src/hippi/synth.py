@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hippi.core import OUTLIER, ProblemInstance, UniverseAssignment
+from hippi.core import OUTLIER, ProblemInstance, UniverseAssignment, integer_fields
 
 TRANSFORM_FAMILIES = ("rigid", "similarity", "none")
 
@@ -44,6 +44,7 @@ class GenConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        integer_fields(self, ("k", "d_true", "feature_dim"), ("feature_prototypes", "seed"))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d_true < 1:

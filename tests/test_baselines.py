@@ -119,7 +119,7 @@ def test_spectral_handles_universe_larger_than_total_points():
 def test_spectral_rejects_too_small_universe():
     index = BlockIndex(sizes=(3,))
     x = PairwiseMatchingSet(maps=((np.arange(3),),), index=index)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="universe size"):
         spectral_sync(x, d=2)
 
 
@@ -180,8 +180,14 @@ def test_greedy_init_matches_obvious_similarity():
 
 def test_greedy_init_rejects_small_universe():
     w = two_object_similarity(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="universe size"):
         greedy_init(w, d=2)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 2])
+def test_random_init_rejects_small_universe(d):
+    with pytest.raises(ValueError, match=f"universe size {d} is smaller than the largest object"):
+        random_init(BlockIndex(sizes=(2, 3)), d, seed=0)
 
 
 def test_run_baseline_dispatch():

@@ -123,11 +123,18 @@ class TestSolve:
         assert rc.kernel.sigma == 0.4         # file beats default
         assert rc.seed == 7 and rc.d == 25    # run section applies
 
-    def test_unknown_config_key_is_data_error(self, problem_path, tmp_path):
+    def test_unknown_config_key_is_data_error(self, problem_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"solver": {"bogus_knob": 1}}))
-        assert run(["solve", "--problem", problem_path, "--config", cfg,
-                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        for doc in (
+            {"solver": {"bogus_knob": 1}},
+            {"generate": {"k": 2, "d_true": 4, "bogus_knob": 1}},
+            {"kernel": {"bogus_knob": 1}},
+            {"run": {"bogus_knob": 1}},
+        ):
+            cfg.write_text(json.dumps(doc))
+            assert run(["solve", "--problem", problem_path, "--config", cfg,
+                        "--out", tmp_path / "x"]) == cli.EXIT_DATA
+            assert "bogus_knob" in capsys.readouterr().err
 
     def test_missing_problem_file_is_data_error(self, tmp_path):
         assert run(["solve", "--problem", tmp_path / "nope.json",
@@ -355,6 +362,77 @@ class TestUsageErrors:
         assert run(["solve", "--problem", p, "--config", cfg]) == cli.EXIT_DATA
 
 
+# Every flag that overrides a config field: command, flag and its value, config
+# section, field, value in the file, value after the flag.
+MERGE_CASES = [
+    ("generate", ["--k", "4"], "generate", "k", 2, 4),
+    ("generate", ["--d-true", "6"], "generate", "d_true", 5, 6),
+    ("generate", ["--visibility", "0.5"], "generate", "visibility", 0.9, 0.5),
+    ("generate", ["--coord-noise", "0.2"], "generate", "coord_noise_sigma", 0.1, 0.2),
+    ("generate", ["--feature-noise", "0.2"], "generate", "feature_noise_sigma", 0.1, 0.2),
+    ("generate", ["--outlier-fraction", "0.3"], "generate", "outlier_fraction", 0.1, 0.3),
+    ("generate", ["--occlusion", "0.1", "0.2", "0.3", "0.4"], "generate", "occlusion_rect",
+     [0.0, 0.0, 0.5, 0.5], (0.1, 0.2, 0.3, 0.4)),
+    ("generate", ["--transform", "none"], "generate", "transform_family", "similarity", "none"),
+    ("generate", ["--feature-dim", "7"], "generate", "feature_dim", 3, 7),
+    ("generate", ["--prototypes", "3"], "generate", "feature_prototypes", 2, 3),
+    ("generate", ["--seed", "8"], "generate", "seed", 9, 8),
+    ("solve", ["--sigma", "0.3"], "kernel", "sigma", 0.7, 0.3),
+    ("solve", ["--mu", "0.3"], "kernel", "mu", 0.7, 0.3),
+    ("solve", ["--weight-mode", "intra-ratio"], "kernel", "weight_mode", "constant",
+     "intra-ratio"),
+    ("solve", ["--knn", "5"], "kernel", "knn_sparsify", 3, 5),
+    ("solve", ["--max-iters", "9"], "solver", "max_iters", 50, 9),
+    ("solve", ["--d", "30"], "run", "d", 25, 30),
+    ("solve", ["--universe-rule", "max-block"], "run", "universe_rule", "twice-average",
+     "max-block"),
+    ("solve", ["--method", "greedy"], "run", "method", "spectral", "greedy"),
+    ("solve", ["--init", "greedy"], "run", "init", "random", "greedy"),
+    ("solve", ["--strict-psd"], "run", "strict_psd", False, True),
+    ("solve", ["--external", "b.json"], "run", "external", "a.json", "b.json"),
+    ("bench", ["--sizes", "40,80"], "run", "sizes", [20], (40, 80)),
+    ("bench", ["--points-per-object", "4"], "run", "points_per_object", 5, 4),
+    ("bench", ["--iters", "2"], "run", "bench_iters", 7, 2),
+    ("bench", ["--full"], "run", "full_solve", False, True),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, section, name, in_file, expected",
+    MERGE_CASES,
+    ids=[f"{case[0]} {case[1][0]}" for case in MERGE_CASES],
+)
+def test_flag_overrides_the_config_field_of_the_same_name(
+    tmp_path, command, flag, section, name, in_file, expected
+):
+    doc = {"generate": {"k": 2, "d_true": 5}} if command == "generate" else {}
+    doc.setdefault(section, {})[name] = in_file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)]
+    if command == "solve":
+        argv += ["--problem", "p.json"]
+
+    def field_of(extra):
+        rc = cli.build_run_config(cli.build_parser().parse_args(argv + extra))
+        owner = {"run": rc, "generate": rc.generator, "kernel": rc.kernel, "solver": rc.solver}
+        return getattr(owner[section], name)
+
+    assert field_of([]) == (tuple(in_file) if isinstance(in_file, list) else in_file)
+    assert field_of(flag) == expected
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--problem", "p.json"], "strict_psd"),
+    (["bench"], "full_solve"),
+])
+def test_absent_switch_keeps_the_config_file_value(tmp_path, argv, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"run": {name: True}}))
+    rc = cli.build_run_config(cli.build_parser().parse_args(argv + ["--config", str(cfg)]))
+    assert getattr(rc, name) is True
+
+
 class TestIntegerFields:
     """A fractional or boolean value in an integer field is a data error naming
     where it sits, never a silent truncation."""
@@ -411,6 +489,33 @@ class TestIntegerFields:
                     "--seed", "1"]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"object 2 row 3: ground-truth label must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("generate", {"generate": {"k": 2.5, "d_true": 4}}, "k must be an integer, got 2.5"),
+        ("solve", {"run": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+        ("solve", {"kernel": {"knn_sparsify": 2.5}},
+         "knn_sparsify must be an integer, got 2.5"),
+        ("solve", {"run": {"d": 12.7}}, "d must be an integer, got 12.7"),
+        ("solve", {"solver": {"max_iters": 2.5}}, "max_iters must be an integer, got 2.5"),
+        ("solve", {"solver": {"max_iters": True}}, "max_iters must be an integer, got True"),
+        ("bench", {"run": {"sizes": [40, 80.5]}}, "sizes[1] must be an integer, got 80.5"),
+    ], ids=["generate-k", "run-seed", "kernel-knn", "run-d", "solver-max-iters",
+            "solver-max-iters-bool", "run-sizes"])
+    def test_config_file_field(self, problem_path, tmp_path, capsys, command, doc, message):
+        argv = [command, "--config", self.write(tmp_path, doc), "--out", tmp_path / "x"]
+        if command == "solve":
+            argv += ["--problem", problem_path]
+        assert run(argv) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_integral_floats_in_the_config_file_are_accepted(self, problem_path, tmp_path):
+        doc = {"run": {"d": 30.0, "seed": 1.0}, "solver": {"max_iters": 5.0},
+               "kernel": {"knn_sparsify": 4.0}}
+        out = tmp_path / "x"
+        assert run(["solve", "--problem", problem_path, "--config", self.write(tmp_path, doc),
+                    "--out", out]) == cli.EXIT_OK
+        assert io.load_assignment(out / "assignment.json").d == 30
 
     @pytest.mark.parametrize("value", [0.5, True])
     def test_pairwise_match_field(self, tmp_path, capsys, value):
