@@ -24,7 +24,6 @@ from hippi.core import (
     PairwiseMatchingSet,
     SimilarityMatrix,
     UniverseAssignment,
-    _inverse,
 )
 
 BASELINE_METHODS = ("spectral", "random", "greedy", "external-file")
@@ -39,18 +38,18 @@ def pairwise_lap_matchings(w: SimilarityMatrix) -> PairwiseMatchingSet:
     """
     idx = w.index
     sizes = idx.sizes
-    maps = [[None] * idx.k for _ in range(idx.k)]
+    targets = np.full((idx.m, idx.k), -1, dtype=np.int64)
+    targets[np.arange(idx.m), idx.owner] = idx.local
     for i in range(idx.k):
-        maps[i][i] = np.arange(sizes[i])
         for j in range(i + 1, idx.k):
+            # Solve from the smaller object ``a``; its map back is one scatter.
             if sizes[i] <= sizes[j]:
-                forward = lap_exact(w.block(i, j))
-                backward = _inverse(forward, sizes[j])
+                a, b, mp = i, j, lap_exact(w.block(i, j))
             else:
-                backward = lap_exact(w.block(i, j).T)
-                forward = _inverse(backward, sizes[i])
-            maps[i][j], maps[j][i] = forward, backward
-    return PairwiseMatchingSet(maps=tuple(tuple(row) for row in maps), index=idx)
+                a, b, mp = j, i, lap_exact(w.block(i, j).T)
+            targets[idx.slice_of(a), b] = mp
+            targets[idx.offsets[b] + mp, a] = np.arange(sizes[a])
+    return PairwiseMatchingSet(targets=targets, index=idx)
 
 
 def vote_similarity(x: PairwiseMatchingSet) -> SimilarityMatrix:
@@ -62,9 +61,7 @@ def vote_similarity(x: PairwiseMatchingSet) -> SimilarityMatrix:
     consumes, with the geometric term as the only extra signal.
     """
     data = x.to_matrix()
-    for i in range(x.k):
-        s = x.index.slice_of(i)
-        data[s, s] = 0.0
+    data[x.index.owner[:, None] == x.index.owner] = 0.0
     data.setflags(write=False)
     return SimilarityMatrix(data=data, index=x.index)
 
@@ -82,10 +79,13 @@ def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     rejected with a ``ValueError`` naming the pair.
     """
     idx = x.index
-    for i in range(idx.k):
-        for j in range(i + 1, idx.k):
-            if not np.array_equal(x.maps[j][i], _inverse(x.maps[i][j], idx.sizes[j])):
-                raise ValueError(f"maps ({i},{j}) and ({j},{i}) are not mirror images")
+    # A cross match that is not matched straight back breaks the mirror of
+    # its map and of the reverse one; the first such pair is named.
+    g, j = np.nonzero((x.targets >= 0) & ~x.mirrored() & (np.arange(idx.k) != idx.owner[:, None]))
+    if g.size:
+        pair = np.minimum(idx.owner[g], j) * idx.k + np.maximum(idx.owner[g], j)
+        i, j = divmod(int(pair.min()), idx.k)
+        raise ValueError(f"maps ({i},{j}) and ({j},{i}) are not mirror images")
     s = x.to_matrix()
     for i in range(idx.k):
         sl = idx.slice_of(i)
@@ -100,17 +100,12 @@ def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     )
 
 
-def _as_index(problem) -> BlockIndex:
-    return problem if isinstance(problem, BlockIndex) else problem.index
-
-
-def random_init(problem, d: int, seed=None) -> UniverseAssignment:
+def random_init(index: BlockIndex, d: int, seed=None) -> UniverseAssignment:
     """Uniformly random injection of each object's points into ``d`` slots."""
-    idx = _as_index(problem)
     rng = np.random.default_rng(seed)
-    cols = np.concatenate([rng.permutation(d)[:s] for s in idx.sizes])
+    cols = np.concatenate([rng.permutation(d)[:s] for s in index.sizes])
     cols.setflags(write=False)
-    return UniverseAssignment(assignment=cols, d=d, index=idx)
+    return UniverseAssignment(assignment=cols, d=d, index=index)
 
 
 def greedy_init(w: SimilarityMatrix, d: int) -> UniverseAssignment:

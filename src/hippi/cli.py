@@ -28,9 +28,10 @@ import numpy as np
 from hippi import io
 from hippi.baselines import BASELINE_METHODS, greedy_init, random_init, run_baseline
 from hippi.core import ProblemInstance, as_integer, expand, integer_fields
-from hippi.kernels import KernelConfig, assert_psd, build_adjacency, build_similarity
+from hippi.kernels import WEIGHT_MODES, KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import cycle_error, fscore, verify_cycle_consistency
 from hippi.solver import (
+    UNIVERSE_RULES,
     SolverConfig,
     SolverTrace,
     WbarOperator,
@@ -39,7 +40,7 @@ from hippi.solver import (
     objective,
     universe_size,
 )
-from hippi.synth import GenConfig, generate
+from hippi.synth import TRANSFORM_FAMILIES, GenConfig, generate
 
 log = logging.getLogger(__name__)
 
@@ -143,8 +144,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    if cfg.generator is None:
-        raise ValueError("generate needs --k/--d-true flags or a config file section")
     p = generate(cfg.generator)
     out = _out_dir(cfg)
     io.save_problem(p, out / "problem.json")
@@ -379,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--outlier-fraction", dest="outlier_fraction", type=float)
     gen.add_argument("--occlusion", dest="occlusion_rect", nargs=4, type=float,
                      metavar=("X", "Y", "W", "H"))
-    gen.add_argument("--transform", dest="transform_family",
-                     choices=("rigid", "similarity", "none"))
+    gen.add_argument("--transform", dest="transform_family", choices=TRANSFORM_FAMILIES)
     gen.add_argument("--feature-dim", dest="feature_dim", type=int)
     gen.add_argument("--prototypes", dest="feature_prototypes", type=int)
 
@@ -390,12 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--method", choices=METHODS)
     slv.add_argument("--init", choices=INIT_METHODS)
     slv.add_argument("--d", type=int)
-    slv.add_argument("--universe-rule", dest="universe_rule",
-                     choices=("twice-average", "max-block"))
+    slv.add_argument("--universe-rule", dest="universe_rule", choices=UNIVERSE_RULES)
     slv.add_argument("--sigma", type=float)
     slv.add_argument("--mu", type=float)
-    slv.add_argument("--weight-mode", dest="weight_mode",
-                     choices=("constant", "intra-ratio"))
+    slv.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
     slv.add_argument("--knn", dest="knn_sparsify", type=int)
     slv.add_argument("--max-iters", dest="max_iters", type=int)
     slv.add_argument("--strict-psd", dest="strict_psd", action="store_true", default=None)

@@ -5,7 +5,9 @@ The points of all ``k`` objects are stacked into one global index range
 ``(object, local)`` pairs and block slices.  A matching state is a
 :class:`UniverseAssignment`: every point gets exactly one of ``d`` universe
 columns, and two points of different objects correspond iff they share a
-column.  :func:`expand` materialises the implied pairwise matchings.
+column.  :func:`expand` materialises the implied pairwise matchings as a
+:class:`PairwiseMatchingSet`: one ``m x k`` array of each point's match in
+each object.
 
 All types are immutable after construction (arrays are marked read-only) and
 safe to share across threads.
@@ -121,6 +123,16 @@ class BlockIndex:
         for s in self.sizes:
             out.append(out[-1] + s)
         return tuple(out)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The object of each global point, as a read-only length-``m`` array."""
+        return _owned(np.repeat(np.arange(self.k), self.sizes), np.int64)
+
+    @cached_property
+    def local(self) -> np.ndarray:
+        """The local index of each global point in its object, read-only."""
+        return _owned(np.arange(self.m) - np.array(self.offsets)[self.owner], np.int64)
 
     def slice_of(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
@@ -387,7 +399,7 @@ class UniverseAssignment:
         # not counting per (object, column), keeps the cost independent of d.
         # The sort is cached in ``slot_runs``, so the solver reuses it.
         order, _, _ = self.slot_runs
-        col, owner = a[order], np.repeat(np.arange(idx.k), idx.sizes)[order]
+        col, owner = a[order], idx.owner[order]
         clash = owner[1:][(col[1:] == col[:-1]) & (owner[1:] == owner[:-1])]
         if clash.size:
             raise ValueError(
@@ -436,97 +448,108 @@ class UniverseAssignment:
 
 @dataclass(frozen=True, eq=False)
 class PairwiseMatchingSet:
-    """All k^2 pairwise partial permutations, stored sparsely.
+    """All k^2 pairwise partial permutations, as one read-only ``m x k`` array.
 
-    ``maps[i][j]`` holds, for each point of object ``i``, the local index of
-    its match in object ``j`` or ``-1``; non-negative entries are pairwise
-    distinct, which is exactly the partial-permutation condition.
+    ``targets[g, j]`` is the local index in object ``j`` of global point
+    ``g``'s match, or -1: the pairwise counterpart of
+    :class:`UniverseAssignment`'s length-``m`` vector.  The map ``(i, j)``
+    is column ``j`` of object ``i``'s rows, and its non-negative entries are
+    pairwise distinct, which is exactly the partial-permutation condition.
     """
 
-    maps: tuple[tuple[np.ndarray, ...], ...]
+    targets: np.ndarray
     index: BlockIndex
 
     def __post_init__(self):
+        t = _owned(self.targets, np.int64)
         idx = self.index
-        if len(self.maps) != idx.k or any(len(row) != idx.k for row in self.maps):
-            raise ValueError(f"need a {idx.k} x {idx.k} grid of match maps")
-        frozen = []
-        for i, row in enumerate(self.maps):
-            frow = []
-            for j, mp in enumerate(row):
-                mp = _owned(mp, np.int64)
-                if mp.shape != (idx.sizes[i],):
-                    raise ValueError(f"map ({i},{j}) must have length {idx.sizes[i]}")
-                if mp.min() < -1 or mp.max() >= idx.sizes[j]:
-                    raise ValueError(f"map ({i},{j}) entries must lie in [-1, {idx.sizes[j]})")
-                hit = mp[mp >= 0]
-                if np.unique(hit).size != hit.size:
-                    raise ValueError(f"map ({i},{j}) matches two points to the same target")
-                frow.append(mp)
-            frozen.append(tuple(frow))
-        object.__setattr__(self, "maps", tuple(frozen))
+        k, starts = idx.k, idx.offsets[:-1]
+        if t.shape != (idx.m, k):
+            raise ValueError(f"targets must be ({idx.m}, {k}), got {t.shape}")
+        sizes = np.array(idx.sizes)
+        bad = np.add.reduceat((t < -1) | (t >= sizes), starts, axis=0, dtype=np.int64)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"map ({i},{j}) entries must lie in [-1, {sizes[j]})")
+        # One key per (map, target): a repeated key is a target hit twice in one map.
+        g, j = np.nonzero(t >= 0)
+        width = int(sizes.max())
+        key = np.sort((idx.owner[g] * k + j) * width + t[g, j])
+        clash = key[1:][key[1:] == key[:-1]]
+        if clash.size:
+            i, j = divmod(int(clash[0]) // width, k)
+            raise ValueError(f"map ({i},{j}) matches two points to the same target")
+        object.__setattr__(self, "targets", t)
 
     @property
     def k(self) -> int:
         return self.index.k
 
     def block_map(self, i: int, j: int) -> np.ndarray:
-        return self.maps[i][j]
+        """The map ``(i, j)``, as a read-only view."""
+        return self.targets[self.index.slice_of(i), j]
 
     def block_dense(self, i: int, j: int) -> np.ndarray:
         """The binary ``m_i x m_j`` matching matrix of one block."""
-        mp = self.maps[i][j]
+        mp = self.block_map(i, j)
         x = np.zeros((self.index.sizes[i], self.index.sizes[j]))
         rows = np.flatnonzero(mp >= 0)
         x[rows, mp[rows]] = 1.0
         return x
 
+    def global_matches(self, *, upper=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each match, row-major, as arrays ``(g, j, h)``: global point ``g`` to ``h`` in ``j``.
+
+        With ``upper``, only the matches into a later object, so each
+        cross-object pair appears once.
+        """
+        hit = self.targets >= 0
+        if upper:
+            hit &= np.arange(self.k) > self.index.owner[:, None]
+        g, j = np.nonzero(hit)
+        return g, j, np.array(self.index.offsets)[j] + self.targets[g, j]
+
     def to_matrix(self) -> np.ndarray:
         """The binary ``m x m`` block matrix of all k^2 maps (small instances only)."""
-        return np.block([[self.block_dense(i, j) for j in range(self.k)] for i in range(self.k)])
+        g, _, h = self.global_matches()
+        x = np.zeros((self.index.m, self.index.m))
+        x[g, h] = 1.0
+        return x
+
+    def mirrored(self) -> np.ndarray:
+        """``(m, k)`` mask of the matches whose target is matched straight back."""
+        g, j, h = self.global_matches()
+        out = np.zeros(self.targets.shape, dtype=bool)
+        out[g, j] = self.targets[h, self.index.owner[g]] == self.index.local[g]
+        return out
 
     def matched_pairs(self):
-        """Iterate cross-object matches once each, as ``(i, p, j, q)`` with i < j."""
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                mp = self.maps[i][j]
-                for p in np.flatnonzero(mp >= 0):
-                    yield i, int(p), j, int(mp[p])
+        """Iterate cross-object matches once each, as ``(i, p, j, q)`` with i < j, by i, j, p."""
+        g, j, h = self.global_matches(upper=True)
+        order = np.lexsort((g, j, self.index.owner[g]))
+        g, h = g[order], h[order]
+        owner, local = self.index.owner, self.index.local
+        return zip(owner[g].tolist(), local[g].tolist(), owner[h].tolist(), local[h].tolist())
 
     def match_count(self) -> int:
-        return sum(int((self.maps[i][j] >= 0).sum()) for i in range(self.k) for j in range(i + 1, self.k))
+        return int(self.global_matches(upper=True)[0].size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairwiseMatchingSet):
             return NotImplemented
-        return self.index == other.index and all(
-            np.array_equal(self.maps[i][j], other.maps[i][j])
-            for i in range(self.k)
-            for j in range(self.k)
-        )
-
-
-def _inverse(mp: np.ndarray, target_size: int) -> np.ndarray:
-    """The mirror image of a match map: for each target point, its source or -1."""
-    inv = np.full(target_size, -1, dtype=np.int64)
-    src = np.flatnonzero(mp >= 0)
-    inv[mp[src]] = src
-    return inv
+        return self.index == other.index and np.array_equal(self.targets, other.targets)
 
 
 def expand(u: UniverseAssignment) -> PairwiseMatchingSet:
     """Materialise the pairwise matchings implied by a universe assignment.
 
     Blockwise this is ``X_ij = U_i U_j^T``: points match iff they share a
-    universe column.  The result is cycle-consistent by construction.
+    universe column, so one gather from the ``(d, k)`` table of each slot's
+    point in each object builds it, cycle-consistent by construction.
     """
     idx = u.index
-    owners = []
-    for j in range(idx.k):
-        owner = np.full(u.d, -1, dtype=np.int64)
-        owner[u.block(j)] = np.arange(idx.sizes[j])
-        owners.append(owner)
-    maps = tuple(
-        tuple(owners[j][u.block(i)] for j in range(idx.k)) for i in range(idx.k)
-    )
-    return PairwiseMatchingSet(maps=maps, index=idx)
+    slot_point = np.full((u.d, idx.k), -1, dtype=np.int64)
+    slot_point[u.assignment, idx.owner] = idx.local
+    targets = slot_point[u.assignment]
+    targets.setflags(write=False)
+    return PairwiseMatchingSet(targets=targets, index=idx)

@@ -169,12 +169,8 @@ def load_pairwise(path) -> PairwiseMatchingSet:
     doc = _load(path, PAIRWISE_FORMAT)
     try:
         index = BlockIndex(sizes=tuple(doc["sizes"]))
-        maps = [
-            [np.full(index.sizes[i], -1, dtype=np.int64) for _ in range(index.k)]
-            for i in range(index.k)
-        ]
-        for i in range(index.k):
-            maps[i][i] = np.arange(index.sizes[i], dtype=np.int64)
+        targets = np.full((index.m, index.k), -1, dtype=np.int64)
+        targets[np.arange(index.m), index.owner] = index.local
         for e, entry in enumerate(doc["matches"]):
             i, p, j, q = (
                 v if type(v) is int else as_integer(v, f"match {e} field {r}")
@@ -184,13 +180,12 @@ def load_pairwise(path) -> PairwiseMatchingSet:
                 raise ValueError(f"match {entry} names an invalid object pair")
             if not (0 <= p < index.sizes[i] and 0 <= q < index.sizes[j]):
                 raise ValueError(f"match {entry} names a point outside its object")
-            if maps[i][j][p] not in (-1, q) or maps[j][i][q] not in (-1, p):
+            g, h = index.offsets[i] + p, index.offsets[j] + q
+            if targets[g, j] not in (-1, q) or targets[h, i] not in (-1, p):
                 raise ValueError(f"match {entry} conflicts with an earlier one")
-            maps[i][j][p] = q
-            maps[j][i][q] = p
-        return PairwiseMatchingSet(
-            maps=tuple(tuple(row) for row in maps), index=index
-        )
+            targets[g, j] = q
+            targets[h, i] = p
+        return PairwiseMatchingSet(targets=targets, index=index)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed pairwise document ({exc})") from exc
 

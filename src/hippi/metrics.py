@@ -3,8 +3,10 @@
 Matching quality is scored at the pair level: every unordered cross-object
 point pair predicted as matching counts once, and it is a true positive
 exactly when both points carry the same non-outlier ground-truth label.
-Cycle consistency is checked directly on the integer match maps, so all
-counts are exact.
+Cycle consistency is checked directly on the integer ``m x k`` targets of
+a :class:`PairwiseMatchingSet`, so all counts are exact.  A composition
+``i -> j -> l`` is one gather: a point's target in ``j`` is a global row of
+the same array, and one appended row of -1 stands for a missing hop.
 
 A universe assignment is scored in ``O(m log m)`` from counts, without
 expanding its ``k^2`` match maps: points match iff they share a slot, so the
@@ -101,64 +103,43 @@ class CycleReport:
         return self.total == 0
 
 
-def _padded_maps(x: PairwiseMatchingSet) -> np.ndarray:
-    """All ``k^2`` maps stacked as one ``(k, k, n_max + 1)`` array.
-
-    Entries past an object's size and the whole last column hold -1, so
-    indexing a map with an unmatched ``-1`` lands on -1 again: composing
-    through a missing hop needs no mask.
-    """
-    k, n = x.k, max(x.index.sizes)
-    maps = np.full((k, k, n + 1), -1, dtype=np.int64)
-    for i, row in enumerate(x.maps):
-        for j, mp in enumerate(row):
-            maps[i, j, : mp.size] = mp
-    return maps
-
-
-def _three_hops(maps: np.ndarray, sizes: tuple[int, ...]):
+def _three_hops(x: PairwiseMatchingSet):
     """Per source object ``i``: ``(i, comp, direct)``, all compositions at once.
 
-    ``comp[j, l, p]`` is where point ``p`` of object ``i`` lands by way of
-    object ``j`` in object ``l`` (or -1), and ``direct[l, p]`` is its direct
-    match in ``l``.  Each yield holds ``k^2 m_i`` entries, about the size of
+    ``comp[p, j, l]`` is where point ``p`` of object ``i`` lands by way of
+    object ``j`` in object ``l`` (or -1), and ``direct[p, l]`` is its direct
+    match in ``l``.  Each yield holds ``m_i k^2`` entries, about the size of
     the input's maps from ``i``.
     """
-    k, width = maps.shape[0], maps.shape[2]
-    flat = maps.reshape(-1)
-    # Flat offset of map (j, l): composing is one ``take`` per source object.
-    base = (np.arange(k)[:, None] * k + np.arange(k)[None, :]) * width
-    for i, n in enumerate(sizes):
-        direct = maps[i, :, :n]
-        comp = flat.take(base[:, :, None] + (direct % width)[:, None, :])
-        yield i, comp, direct
+    idx, t = x.index, x.targets
+    # Row ``m`` is all -1, so a missing first hop lands on -1 again: composing
+    # through it needs no mask.
+    padded = np.vstack([t, np.full((1, idx.k), -1, dtype=np.int64)])
+    hop = np.where(t >= 0, np.array(idx.offsets[:-1]) + t, idx.m)
+    for i in range(idx.k):
+        rows = idx.slice_of(i)
+        yield i, padded[hop[rows]], t[rows]
 
 
 def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
     """Count identity, symmetry and transitivity violations exactly."""
-    k = x.k
-    sizes = x.index.sizes
-    identity = 0
-    for i in range(k):
-        mp = x.block_map(i, i)
-        on_diagonal = mp == np.arange(sizes[i])
-        # A row matched elsewhere contributes two wrong entries (the missing
-        # diagonal one and the spurious one); an unmatched row just one.
-        identity += int(np.sum(~on_diagonal & (mp >= 0)) * 2)
-        identity += int(np.sum(~on_diagonal & (mp < 0)))
-    maps = _padded_maps(x)
-    width = maps.shape[2]
-    ones = (maps >= 0).sum(axis=2)
-    # Entry (i, j, p) agrees with its mirror when map (j, i) sends p's match
-    # back to p; -1 entries never agree, as the sentinel is never a point.
-    back = maps[np.arange(k)[None, :, None], np.arange(k)[:, None, None], maps % width]
-    both = ((maps >= 0) & (back == np.arange(width))).sum(axis=2)
-    upper = np.triu(np.ones((k, k), dtype=bool))
+    idx, t = x.index, x.targets
+    diagonal = t[np.arange(idx.m), idx.owner]
+    wrong = diagonal != idx.local
+    # A row matched elsewhere contributes two wrong entries (the missing
+    # diagonal one and the spurious one); an unmatched row just one.
+    identity = int(np.sum(wrong & (diagonal >= 0)) * 2 + np.sum(wrong & (diagonal < 0)))
+    # Per map (i, j): its matches, and those that map (j, i) sends straight back.
+    starts = idx.offsets[:-1]
+    ones = np.add.reduceat(t >= 0, starts, axis=0, dtype=np.int64)
+    both = np.add.reduceat(x.mirrored(), starts, axis=0, dtype=np.int64)
+    upper = np.triu(np.ones((idx.k, idx.k), dtype=bool))
     symmetry = int((ones + ones.T - 2 * both)[upper].sum())
     transitivity = 0
-    for i, comp, direct in _three_hops(maps, sizes):
+    for i, comp, direct in _three_hops(x):
         # Compositions i -> j -> l with l >= i, through every j.
-        transitivity += int(np.sum((comp[:, i:] >= 0) & (comp[:, i:] != direct[i:])))
+        tail = comp[:, :, i:]
+        transitivity += int(np.sum((tail >= 0) & (tail != direct[:, None, i:])))
     return CycleReport(identity=identity, symmetry=symmetry, transitivity=transitivity)
 
 
@@ -174,11 +155,11 @@ def cycle_error(x: PairwiseMatchingSet) -> float:
     j, l = np.arange(k)[:, None], np.arange(k)[None, :]
     violations = 0
     total = 0
-    for i, comp, direct in _three_hops(_padded_maps(x), x.index.sizes):
+    for i, comp, direct in _three_hops(x):
         distinct = (j != i) & (l != i) & (j != l)
-        hit = (comp >= 0) & distinct[:, :, None]
+        hit = (comp >= 0) & distinct
         total += int(hit.sum())
-        violations += int(np.sum(hit & (comp != direct)))
+        violations += int(np.sum(hit & (comp != direct[:, None, :])))
     return violations / total if total > 0 else 0.0
 
 
@@ -214,21 +195,18 @@ def _universe_counts(u: UniverseAssignment, labels: list[np.ndarray]) -> tuple[i
 
 
 def _pairwise_counts(ms: PairwiseMatchingSet, labels: list[np.ndarray]) -> tuple[int, int]:
-    """True and false positive pairs, one matched pair at a time."""
-    tp = fp = 0
-    for i, p, j, q in ms.matched_pairs():
-        a, b = labels[i][p], labels[j][q]
-        if a >= 0 and a == b:
-            tp += 1
-        else:
-            fp += 1
-    return tp, fp
+    """True and false positive pairs among the cross-object matches, each counted once."""
+    g, _, h = ms.global_matches(upper=True)
+    flat = np.concatenate(labels)
+    a, b = flat[g], flat[h]
+    tp = int(np.sum((a >= 0) & (a == b)))
+    return tp, g.size - tp
 
 
 def _true_pairs(labels: list[np.ndarray], index: BlockIndex) -> int:
     """Cross-object pairs of inlier points that share a label."""
     flat = np.concatenate(labels)
-    owner = np.repeat(np.arange(index.k), index.sizes)
+    owner = index.owner
     inlier = flat >= 0
     # Same-object repeats of a label form no pairs, so they are discounted.
     return _pairs(_cell_counts(flat[inlier])) - _pairs(_cell_counts(owner[inlier], flat[inlier]))

@@ -11,7 +11,13 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment
+from hippi.core import (
+    BlockIndex,
+    MultiAdjacency,
+    PairwiseMatchingSet,
+    SimilarityMatrix,
+    UniverseAssignment,
+)
 
 
 def brute_force_lap(scores: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -99,6 +105,22 @@ def naive_cycle_error(blocks: list[list[np.ndarray]]) -> float:
                 total += int(comp.sum())
                 violations += int(np.sum(comp > blocks[i][l] + 1e-12))
     return violations / total if total > 0 else 0.0
+
+
+def pack_maps(maps, index: BlockIndex) -> PairwiseMatchingSet:
+    """A matching set from a nested ``k x k`` grid of block maps.
+
+    ``maps[i][j][p]`` is the local index in object ``j`` of point ``p`` of
+    object ``i``'s match, or -1; each block map becomes column ``j`` of
+    object ``i``'s rows.
+    """
+    targets = np.vstack([np.column_stack(row) for row in maps])
+    return PairwiseMatchingSet(targets=targets, index=index)
+
+
+def unpack_maps(x: PairwiseMatchingSet) -> list[list[np.ndarray]]:
+    """The nested grid of writeable block-map copies that :func:`pack_maps` packs."""
+    return [[x.block_map(i, j).copy() for j in range(x.k)] for i in range(x.k)]
 
 
 def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:

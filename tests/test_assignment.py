@@ -166,7 +166,7 @@ def block_score(v: np.ndarray, index: BlockIndex, u: UniverseAssignment, i: int)
     "case",
     ["zero entry", "negative entry", "too few nonzero columns", "no zero column"],
 )
-def test_projection_solves_full_width_unless_the_drop_is_exact(monkeypatch, case):
+def test_projection_solves_full_width_unless_every_score_is_positive(monkeypatch, case):
     rng = np.random.default_rng(37)
     index = BlockIndex(sizes=(3, 2))
     v = np.zeros((index.m, 6))

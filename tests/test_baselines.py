@@ -19,7 +19,7 @@ from hippi.core import (
     expand,
 )
 
-from helpers import brute_force_lap, integer_similarity, random_assignment
+from helpers import brute_force_lap, integer_similarity, pack_maps, random_assignment, unpack_maps
 
 
 def two_object_similarity(cross: np.ndarray) -> SimilarityMatrix:
@@ -42,17 +42,24 @@ def pair_fscore(pred: set, true: set) -> float:
 def test_spectral_rejects_unmirrored_maps():
     index = BlockIndex(sizes=(2, 1))
     good = ((np.arange(2), np.array([0, -1])), (np.array([0]), np.arange(1)))
-    spectral_sync(PairwiseMatchingSet(maps=good, index=index), d=2)
+    spectral_sync(pack_maps(good, index), d=2)
     for back in ([1], [-1]):  # matched to the wrong point, or not matched back at all
         bad = ((np.arange(2), np.array([0, -1])), (np.array(back), np.arange(1)))
         with pytest.raises(ValueError, match=r"maps \(0,1\) and \(1,0\) are not mirror"):
-            spectral_sync(PairwiseMatchingSet(maps=bad, index=index), d=2)
+            spectral_sync(pack_maps(bad, index), d=2)
     u = random_assignment(np.random.default_rng(1), (2, 3, 3), 3)
-    maps = [list(row) for row in expand(u).maps]
+    maps = unpack_maps(expand(u))
     maps[2][1] = maps[2][1][::-1].copy()
-    skewed = PairwiseMatchingSet(maps=tuple(map(tuple, maps)), index=u.index)
+    skewed = pack_maps(maps, u.index)
     with pytest.raises(ValueError, match=r"maps \(1,2\) and \(2,1\)"):
         spectral_sync(skewed, d=3)
+
+
+def test_spectral_names_the_pair_when_only_the_reverse_map_matches():
+    index = BlockIndex(sizes=(2, 1))
+    only_back = ((np.arange(2), np.array([-1, -1])), (np.array([1]), np.arange(1)))
+    with pytest.raises(ValueError, match=r"maps \(0,1\) and \(1,0\) are not mirror"):
+        spectral_sync(pack_maps(only_back, index), d=2)
 
 
 def test_identity_cross_scores_match_identically():
@@ -93,7 +100,7 @@ def test_pairwise_blocks_attain_brute_force_optimum(seed):
 
 def test_spectral_single_object_is_identity():
     index = BlockIndex(sizes=(4,))
-    x = PairwiseMatchingSet(maps=((np.arange(4),),), index=index)
+    x = PairwiseMatchingSet(targets=np.arange(4)[:, None], index=index)
     u = spectral_sync(x, d=4)
     assert u.assignment.tolist() == [0, 1, 2, 3]
 
@@ -118,7 +125,7 @@ def test_spectral_handles_universe_larger_than_total_points():
 
 def test_spectral_rejects_too_small_universe():
     index = BlockIndex(sizes=(3,))
-    x = PairwiseMatchingSet(maps=((np.arange(3),),), index=index)
+    x = PairwiseMatchingSet(targets=np.arange(3)[:, None], index=index)
     with pytest.raises(ValueError, match="universe size"):
         spectral_sync(x, d=2)
 
@@ -131,14 +138,14 @@ def test_spectral_repairs_corrupted_blocks(seed):
     d, k = 5, 6
     u = random_assignment(rng, (d,) * k, d)
     truth = set(expand(u).matched_pairs())
-    maps = [list(row) for row in expand(u).maps]
+    maps = unpack_maps(expand(u))
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     chosen = rng.choice(len(pairs), size=2, replace=False)
     for c in chosen:
         i, j = pairs[c]
         maps[i][j] = maps[i][j][np.roll(np.arange(d), 1)]  # cyclic row shift
         maps[j][i] = np.argsort(maps[i][j])  # the mirror of a full permutation
-    corrupted = PairwiseMatchingSet(maps=tuple(map(tuple, maps)), index=u.index)
+    corrupted = pack_maps(maps, u.index)
     before = pair_fscore(set(corrupted.matched_pairs()), truth)
     synced = spectral_sync(corrupted, d)
     after = pair_fscore(set(expand(synced).matched_pairs()), truth)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import re
 
@@ -8,6 +9,9 @@ import pytest
 
 from hippi import cli, io
 from hippi.core import expand
+from hippi.kernels import WEIGHT_MODES
+from hippi.solver import UNIVERSE_RULES
+from hippi.synth import TRANSFORM_FAMILIES
 
 
 def run(argv):
@@ -34,8 +38,9 @@ class TestGenerate:
         text = capsys.readouterr().out
         assert "k=2" in text and "d_true=4" in text
 
-    def test_missing_required_settings_is_data_error(self, tmp_path):
+    def test_missing_required_settings_is_data_error(self, tmp_path, capsys):
         assert run(["generate", "--out", tmp_path]) == cli.EXIT_DATA
+        assert "'k'" in capsys.readouterr().err
 
     def test_config_file_supplies_generator(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -395,6 +400,22 @@ MERGE_CASES = [
     ("bench", ["--iters", "2"], "run", "bench_iters", 7, 2),
     ("bench", ["--full"], "run", "full_solve", False, True),
 ]
+
+
+@pytest.mark.parametrize(
+    "command, dest, owner",
+    [
+        ("generate", "transform_family", TRANSFORM_FAMILIES),
+        ("solve", "universe_rule", UNIVERSE_RULES),
+        ("solve", "weight_mode", WEIGHT_MODES),
+    ],
+)
+def test_choice_lists_are_the_owning_modules_tuples(command, dest, owner):
+    commands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    action = next(a for a in commands.choices[command]._actions if a.dest == dest)
+    assert tuple(action.choices) == owner
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hippi.core import (
     expand,
 )
 
-from helpers import dense_expand, naive_cycle_violations, random_assignment
+from helpers import dense_expand, naive_cycle_violations, pack_maps, random_assignment
 
 
 @st.composite
@@ -307,14 +307,14 @@ class TestPairwiseMatchingSet:
             (np.array([0]), np.array([0])),
         )
         with pytest.raises(ValueError):
-            PairwiseMatchingSet(maps=maps, index=idx)
+            pack_maps(maps, idx)
 
     def test_entry_outside_target_object_rejected(self):
         idx = BlockIndex((2, 3))
         for bad in (np.array([-5, 0]), np.array([-2, 0]), np.array([0, 3])):
             maps = ((np.arange(2), bad), (np.full(3, -1), np.arange(3)))
             with pytest.raises(ValueError, match=r"map \(0,1\) entries must lie in \[-1, 3\)"):
-                PairwiseMatchingSet(maps=maps, index=idx)
+                pack_maps(maps, idx)
 
     def test_to_matrix_stacks_the_dense_blocks(self):
         x = expand(random_assignment(np.random.default_rng(4), (2, 1, 3), 4))
@@ -330,3 +330,49 @@ class TestPairwiseMatchingSet:
             assert i < j
             assert x.block_map(i, j)[p] == q
             assert x.block_map(j, i)[q] == p
+
+    def test_targets_must_be_m_by_k(self):
+        with pytest.raises(ValueError, match=r"targets must be \(4, 2\), got \(4, 3\)"):
+            PairwiseMatchingSet(targets=np.zeros((4, 3), dtype=np.int64), index=BlockIndex((2, 2)))
+
+    def test_duplicate_target_names_the_first_offending_map(self):
+        idx = BlockIndex((2, 2, 2))
+        maps = [[np.arange(2), np.full(2, -1), np.full(2, -1)] for _ in range(3)]
+        maps[1][0] = np.arange(2)
+        maps[2][1] = np.array([1, 1])
+        maps[1][2] = np.array([0, 0])
+        with pytest.raises(ValueError, match=r"map \(1,2\) matches two points to the same target"):
+            pack_maps(maps, idx)
+
+    @given(assignments())
+    @settings(max_examples=40, deadline=None)
+    def test_expand_targets_are_the_packed_block_maps(self, u):
+        """Each block map of ``U_i U_j^T``, read off the dense product, packs to ``targets``."""
+        dense, idx = dense_expand(u), u.index
+        maps = [
+            [
+                np.where(block.any(axis=1), block.argmax(axis=1), -1)
+                for block in (dense[idx.slice_of(i), idx.slice_of(j)] for j in range(idx.k))
+            ]
+            for i in range(idx.k)
+        ]
+        x = expand(u)
+        assert np.array_equal(x.targets, pack_maps(maps, idx).targets)
+        for i in range(idx.k):
+            for j in range(idx.k):
+                view = x.block_map(i, j)
+                assert np.array_equal(view, maps[i][j])
+                assert np.shares_memory(view, x.targets) and not view.flags.writeable
+
+    def test_matched_pairs_follow_object_then_target_object_then_point(self):
+        rng = np.random.default_rng(8)
+        u = random_assignment(rng, (3, 4, 2, 4), 6)
+        x = expand(u)
+        expected = [
+            (i, int(p), j, int(x.block_map(i, j)[p]))
+            for i in range(x.k)
+            for j in range(i + 1, x.k)
+            for p in np.flatnonzero(x.block_map(i, j) >= 0)
+        ]
+        assert list(x.matched_pairs()) == expected
+        assert x.match_count() == len(expected)

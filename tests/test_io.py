@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hippi import io
-from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, ProblemInstance, expand
+from hippi.core import BlockIndex, UniverseAssignment, ProblemInstance, expand
 from hippi.metrics import MatchReport
 from hippi.solver import SolverTrace
 from hippi.synth import GenConfig, generate
 
-from helpers import random_assignment
+from helpers import pack_maps, random_assignment
 
 
 @pytest.fixture
@@ -166,13 +166,7 @@ class TestPairwiseFiles:
         index = BlockIndex(sizes=(2, 3))
         ab = np.array([1, -1], dtype=np.int64)  # one unmatched point
         ba = np.array([-1, 0, -1], dtype=np.int64)
-        x = PairwiseMatchingSet(
-            maps=(
-                (np.arange(2), ab),
-                (ba, np.arange(3)),
-            ),
-            index=index,
-        )
+        x = pack_maps(((np.arange(2), ab), (ba, np.arange(3))), index)
         path = tmp_path / "partial.json"
         io.save_pairwise(x, path)
         loaded = io.load_pairwise(path)
@@ -191,6 +185,18 @@ class TestPairwiseFiles:
         with pytest.raises(ValueError, match="conflict"):
             io.load_pairwise(path)
 
+    def test_entry_conflicting_only_through_the_reverse_map_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = {
+            "format": io.PAIRWISE_FORMAT,
+            "version": io.FORMAT_VERSION,
+            "sizes": [2, 2],
+            "matches": [[0, 0, 1, 0], [0, 1, 1, 0]],  # two points of object 0 claim point 0
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"match \[0, 1, 1, 0\] conflicts"):
+            io.load_pairwise(path)
+
     def test_duplicate_consistent_entry_allowed(self, tmp_path):
         path = tmp_path / "dup.json"
         doc = {
@@ -201,7 +207,7 @@ class TestPairwiseFiles:
         }
         path.write_text(json.dumps(doc))
         x = io.load_pairwise(path)
-        assert x.maps[0][1][0] == 1 and x.maps[1][0][1] == 0
+        assert x.block_map(0, 1)[0] == 1 and x.block_map(1, 0)[1] == 0
 
     def test_diagonal_entry_rejected(self, tmp_path):
         path = tmp_path / "diag.json"

@@ -13,7 +13,9 @@ from helpers import (
     loop_cycle_violations,
     naive_cycle_error,
     naive_cycle_violations,
+    pack_maps,
     random_assignment,
+    unpack_maps,
 )
 
 
@@ -26,12 +28,12 @@ def three_cycle_with_broken_link() -> PairwiseMatchingSet:
         (one, one, one),
         (none, one, one),
     )
-    return PairwiseMatchingSet(maps=maps, index=BlockIndex(sizes=(1, 1, 1)))
+    return pack_maps(maps, BlockIndex(sizes=(1, 1, 1)))
 
 
 def corrupt(rng, ms: PairwiseMatchingSet) -> PairwiseMatchingSet:
     """Randomly drop or scramble block maps, keeping each map injective."""
-    maps = [[mp.copy() for mp in row] for row in ms.maps]
+    maps = unpack_maps(ms)
     for i in range(ms.k):
         for j in range(ms.k):
             mp = maps[i][j]
@@ -41,9 +43,7 @@ def corrupt(rng, ms: PairwiseMatchingSet) -> PairwiseMatchingSet:
                 hit = np.flatnonzero(mp >= 0)
                 mp[hit] = mp[rng.permutation(hit)]
             maps[i][j] = mp
-    return PairwiseMatchingSet(
-        maps=tuple(tuple(row) for row in maps), index=ms.index
-    )
+    return pack_maps(maps, ms.index)
 
 
 def dense_blocks(ms: PairwiseMatchingSet):
@@ -87,9 +87,7 @@ def test_broken_three_cycle_has_full_cycle_error():
 def test_identity_violations_count_wrong_entries():
     # One object, two points matched to each other on the diagonal block:
     # both diagonal entries missing and two spurious ones -> 4 wrong entries.
-    swapped = PairwiseMatchingSet(
-        maps=((np.array([1, 0]),),), index=BlockIndex(sizes=(2,))
-    )
+    swapped = pack_maps(((np.array([1, 0]),),), BlockIndex(sizes=(2,)))
     report = verify_cycle_consistency(swapped)
     assert report.identity == 4
     assert report.identity == naive_cycle_violations(dense_blocks(swapped))[0]
@@ -127,7 +125,7 @@ def random_partial_maps(rng, sizes) -> PairwiseMatchingSet:
             mp[rng.permutation(si)[:take]] = rng.permutation(sj)[:take]
             row.append(mp)
         maps.append(tuple(row))
-    return PairwiseMatchingSet(maps=tuple(maps), index=BlockIndex(tuple(sizes)))
+    return pack_maps(maps, BlockIndex(tuple(sizes)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +168,7 @@ def test_empty_prediction_scores_zero():
     index = BlockIndex(sizes=(2, 2))
     none = np.full(2, -1)
     ident = np.arange(2)
-    ms = PairwiseMatchingSet(maps=((ident, none), (none, ident)), index=index)
+    ms = pack_maps(((ident, none), (none, ident)), index)
     report = fscore(ms, [np.array([0, 1]), np.array([0, 1])])
     assert report.recall == 0.0
     assert report.fscore == 0.0
@@ -182,7 +180,7 @@ def test_half_recall_no_false_positives_scores_two_thirds():
     index = BlockIndex(sizes=(2, 2))
     half = np.array([0, -1])
     ident = np.arange(2)
-    ms = PairwiseMatchingSet(maps=((ident, half), (half, ident)), index=index)
+    ms = pack_maps(((ident, half), (half, ident)), index)
     report = fscore(ms, [np.array([0, 1]), np.array([0, 1])])
     assert report.precision == 1.0
     assert report.recall == 0.5
@@ -219,7 +217,7 @@ def test_fscore_rejects_other_types():
     rng = np.random.default_rng(13)
     u = random_assignment(rng, (3, 3), 3)
     truth = [u.block(i) for i in range(2)]
-    for other in (u.assignment, expand(u).to_matrix(), expand(u).maps):
+    for other in (u.assignment, expand(u).to_matrix(), expand(u).targets):
         with pytest.raises(TypeError, match="cannot score"):
             fscore(other, truth)
 
