@@ -29,7 +29,7 @@ from hippi import io
 from hippi.baselines import BASELINE_METHODS, greedy_init, random_init, run_baseline
 from hippi.core import ProblemInstance, as_integer, expand, integer_fields
 from hippi.kernels import WEIGHT_MODES, KernelConfig, assert_psd, build_adjacency, build_similarity
-from hippi.metrics import cycle_error, fscore, verify_cycle_consistency
+from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
     UNIVERSE_RULES,
     SolverConfig,
@@ -263,10 +263,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         raise ValueError("verify needs --assignment or --pairwise")
     report = verify_cycle_consistency(ms)
-    err = cycle_error(ms)
     print(
         f"identity={report.identity} symmetry={report.symmetry} "
-        f"transitivity={report.transitivity} cycle_error={err!r}"
+        f"transitivity={report.transitivity} cycle_error={report.cycle_error!r}"
     )
     if report.ok:
         print("consistent")

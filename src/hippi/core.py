@@ -29,7 +29,7 @@ OUTLIER = -1
 #: Relative tolerance on the smallest eigenvalue of an adjacency block.
 PSD_TOL = 1e-8
 
-#: Side of the square tiles on which a similarity matrix's symmetry is checked.
+#: Tile side of the symmetry check, and rows per block of the finiteness check.
 SYMMETRY_TILE = 256
 
 
@@ -88,10 +88,11 @@ def integer_fields(config, required=(), optional=()) -> None:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    """Reject NaN or infinite entries of a 2-D array, naming the first bad row."""
-    bad_rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
-    if bad_rows.size:
-        raise ValueError(f"{what} row {int(bad_rows[0])} is not finite")
+    """Reject NaN or infinities in a 2-D array, by row blocks, naming the first bad row."""
+    for r in range(0, a.shape[0], SYMMETRY_TILE):
+        bad_rows = np.flatnonzero(~np.isfinite(a[r : r + SYMMETRY_TILE]).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(f"{what} row {r + int(bad_rows[0])} is not finite")
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def _opt_tuple_equal(a, b) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Dense ``m x m`` matrix of non-negative cross-object similarity scores.
+    """Dense ``m x m`` matrix of finite, non-negative cross-object similarity scores.
 
     Exactly symmetric by storage, with zero diagonal blocks (no intra-object
     similarities).
@@ -275,9 +276,15 @@ class SimilarityMatrix:
         m = self.index.m
         if data.shape != (m, m):
             raise ValueError(f"similarity matrix must be ({m}, {m}), got {data.shape}")
+        # Each 16-row block's min and max, read while the block is in cache.
+        # NaN and infinities reach the extremes, so these find any of them.
+        ext = np.array([(b.min(), b.max()) for b in np.split(data, range(16, m, 16))])
+        lo, hi = ext[:, 0].min(), ext[:, 1].max()
+        if not np.isfinite([lo, hi]).all():
+            _require_finite(data, "similarity matrix")
         if not _exactly_symmetric(data):
             raise ValueError("similarity matrix must be exactly symmetric")
-        if data.min() < 0:
+        if lo < 0:
             raise ValueError("similarity scores must be non-negative")
         for i in range(self.index.k):
             s = self.index.slice_of(i)

@@ -5,12 +5,19 @@ inputs produce byte-identical files; floats go through Python's shortest
 round-trip repr.  Trace CSVs carry only iteration numbers and objective
 values — wall-clock times stay out of them on purpose, so reruns of the same
 seeded configuration diff clean.
+
+Every integer field is read by one reader that names the first bad entry.
+A pairwise file's matches are checked as whole arrays; the first bad one in
+file order is named.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
+from itertools import chain, repeat, zip_longest
+from operator import length_hint
 
 import numpy as np
 
@@ -102,6 +109,7 @@ def save_problem(p: ProblemInstance, path) -> None:
 def load_problem(path) -> ProblemInstance:
     doc = _load(path, PROBLEM_FORMAT)
     try:
+        index = BlockIndex(sizes=tuple(doc["sizes"]))
         points = tuple(np.asarray(pts, dtype=np.float64) for pts in doc["points"])
         features = tuple(np.asarray(f, dtype=np.float64) for f in doc["features"])
         gt = doc.get("ground_truth")
@@ -111,7 +119,7 @@ def load_problem(path) -> ProblemInstance:
                 for i, g in enumerate(gt)
             )
         dist = doc.get("distances")
-        return ProblemInstance(
+        p = ProblemInstance(
             points=points,
             features=features,
             ground_truth=gt,
@@ -120,6 +128,12 @@ def load_problem(path) -> ProblemInstance:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed problem document ({exc})") from exc
+    # A missing object counts as one of 0 points.
+    pairs = list(zip_longest(index.sizes, p.sizes, fillvalue=0))
+    i = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+    if i is not None:
+        raise ValueError(f"{path}: object {i} has {pairs[i][1]} points; sizes says {pairs[i][0]}")
+    return p
 
 
 def save_assignment(u: UniverseAssignment, path) -> None:
@@ -168,25 +182,36 @@ def load_pairwise(path) -> PairwiseMatchingSet:
     """Rebuild a full matching set: mirrored cross blocks, identity diagonal."""
     doc = _load(path, PAIRWISE_FORMAT)
     try:
-        index = BlockIndex(sizes=tuple(doc["sizes"]))
-        targets = np.full((index.m, index.k), -1, dtype=np.int64)
+        index, matches = BlockIndex(sizes=tuple(doc["sizes"])), doc["matches"]
+        k, sizes, offsets = index.k, np.array(index.sizes), np.array(index.offsets)
+        shaped = np.fromiter(map(isinstance, matches, repeat(list)), bool)
+        shaped &= np.fromiter(map(length_hint, matches, repeat(0)), np.int64) == 4
+        if not shaped.all():
+            e = int(np.argmin(shaped))
+            raise ValueError(f"match {e} must be a list of four values, got {matches[e]!r}")
+        fields = _integers(chain.from_iterable(matches), lambda r: f"match {r // 4} field {r % 4}")
+        i, p, j, q = fields.reshape(-1, 4).T
+        bad_pair = (i < 0) | (i >= k) | (j < 0) | (j >= k) | (i == j)
+        i, j = i % k, j % k  # wrapped into range; an invalid match fails whatever its cells
+        outside = (p < 0) | (p >= sizes[i]) | (q < 0) | (q >= sizes[j])
+        # Match e writes q at (offsets[i] + p, j) and p at (offsets[j] + q, i), the flat
+        # ``targets`` indices cell[2e] and cell[2e + 1]; a write unlike its cell's first conflicts.
+        cell = np.column_stack([(offsets[i] + p) * k + j, (offsets[j] + q) * k + i]).ravel()
+        value = np.column_stack([q, p]).ravel()
+        _, first, inverse = np.unique(cell, return_index=True, return_inverse=True)
+        failed = bad_pair | outside
+        failed[np.flatnonzero(value != value[first][inverse]) // 2] = True
+        if failed.any():
+            e = int(np.argmax(failed))
+            why = ("names an invalid object pair" if bad_pair[e]
+                   else "names a point outside its object" if outside[e]
+                   else "conflicts with an earlier one")
+            raise ValueError(f"match {matches[e]} {why}")
+        targets = np.full((index.m, k), -1, dtype=np.int64)
         targets[np.arange(index.m), index.owner] = index.local
-        for e, entry in enumerate(doc["matches"]):
-            i, p, j, q = (
-                v if type(v) is int else as_integer(v, f"match {e} field {r}")
-                for r, v in enumerate(entry)
-            )
-            if not (0 <= i < index.k and 0 <= j < index.k) or i == j:
-                raise ValueError(f"match {entry} names an invalid object pair")
-            if not (0 <= p < index.sizes[i] and 0 <= q < index.sizes[j]):
-                raise ValueError(f"match {entry} names a point outside its object")
-            g, h = index.offsets[i] + p, index.offsets[j] + q
-            if targets[g, j] not in (-1, q) or targets[h, i] not in (-1, p):
-                raise ValueError(f"match {entry} conflicts with an earlier one")
-            targets[g, j] = q
-            targets[h, i] = p
+        np.put(targets, cell, value)
         return PairwiseMatchingSet(targets=targets, index=index)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed pairwise document ({exc})") from exc
 
 
@@ -216,22 +241,8 @@ def save_report(
     iterations: int,
     converged: bool,
 ) -> None:
-    row = {
-        "method": method,
-        "k": index.k,
-        "m": index.m,
-        "d": d,
-        "iterations": iterations,
-        "converged": converged,
-        "precision": report.precision,
-        "recall": report.recall,
-        "fscore": report.fscore,
-        "true_positives": report.true_positives,
-        "false_positives": report.false_positives,
-        "false_negatives": report.false_negatives,
-        "cycle_error": report.cycle_error,
-        "runtime_seconds": report.runtime_seconds,
-    }
+    row = dict(method=method, k=index.k, m=index.m, d=d, iterations=iterations,
+               converged=converged, **asdict(report))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()

@@ -58,14 +58,9 @@ class KernelConfig:
             raise ValueError("knn_sparsify must be >= 0 (0 keeps the matrix dense)")
 
 
-def _intra_nearest(features: np.ndarray) -> np.ndarray:
-    """Distance from each descriptor to its nearest neighbour in the same object."""
-    n = features.shape[0]
-    if n < 2:
-        return np.full(n, np.inf)
-    d = squareform(pdist(features))
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+def _nearest(dist: np.ndarray) -> np.ndarray:
+    """Each row's smallest entry off the diagonal of a square distance matrix; inf if 1 x 1."""
+    return (dist + np.diag(np.full(dist.shape[0], np.inf))).min(axis=1)
 
 
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
@@ -90,12 +85,8 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
         # intra-object descriptor distance, and w_pq = u_p * u_q.  Strictly
         # decreasing in intra-object proximity, 1 for isolated descriptors.
         # The exact functional form is this library's choice.
-        trust = np.concatenate(
-            [
-                1.0 - np.exp(-(_intra_nearest(f) ** 2) / (2.0 * config.sigma**2))
-                for f in instance.features
-            ]
-        )
+        nearest = np.concatenate([_nearest(squareform(pdist(f))) for f in instance.features])
+        trust = 1.0 - np.exp(-(nearest**2) / (2.0 * config.sigma**2))
         for r in range(0, idx.m, BLOCK_ROWS):
             rows = slice(r, r + BLOCK_ROWS)
             w[rows] *= np.outer(trust[rows], trust)
@@ -136,16 +127,9 @@ def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdj
     """
     blocks = []
     for i, pts in enumerate(instance.points):
-        n = pts.shape[0]
-        if instance.distances is not None:
-            dist = np.asarray(instance.distances[i])
-        else:
-            dist = squareform(pdist(pts)) if n > 1 else np.zeros((1, 1))
-        if n == 1:
-            blocks.append(np.ones((1, 1)))
-            continue
-        off = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-        sigma_a = float(np.median(off.min(axis=1)))
+        dist = squareform(pdist(pts)) if instance.distances is None else instance.distances[i]
+        # A single point has no neighbour: sigma_a is inf and its kernel [[1]].
+        sigma_a = float(np.median(_nearest(dist)))
         if sigma_a <= 0.0:
             raise DegenerateGeometryError(
                 f"object {i}: median nearest-neighbour distance is zero (coincident points)"

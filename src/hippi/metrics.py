@@ -6,7 +6,9 @@ exactly when both points carry the same non-outlier ground-truth label.
 Cycle consistency is checked directly on the integer ``m x k`` targets of
 a :class:`PairwiseMatchingSet`, so all counts are exact.  A composition
 ``i -> j -> l`` is one gather: a point's target in ``j`` is a global row of
-the same array, and one appended row of -1 stands for a missing hop.
+the same array, and one appended row of -1 stands for a missing hop.  One
+sweep over these compositions counts both the transitivity violations and
+the three-cycle matches behind ``cycle_error``.
 
 A universe assignment is scored in ``O(m log m)`` from counts, without
 expanding its ``k^2`` match maps: points match iff they share a slot, so the
@@ -93,6 +95,8 @@ class CycleReport:
     identity: int
     symmetry: int
     transitivity: int
+    composed: int = 0
+    contradicted: int = 0
 
     @property
     def total(self) -> int:
@@ -101,6 +105,11 @@ class CycleReport:
     @property
     def ok(self) -> bool:
         return self.total == 0
+
+    @property
+    def cycle_error(self) -> float:
+        """Share of composed three-cycle matches ``i -> j -> l`` that map ``(i, l)`` lacks."""
+        return self.contradicted / self.composed if self.composed > 0 else 0.0
 
 
 def _three_hops(x: PairwiseMatchingSet):
@@ -122,7 +131,7 @@ def _three_hops(x: PairwiseMatchingSet):
 
 
 def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
-    """Count identity, symmetry and transitivity violations exactly."""
+    """Count consistency violations and three-cycle matches exactly, in one sweep."""
     idx, t = x.index, x.targets
     diagonal = t[np.arange(idx.m), idx.owner]
     wrong = diagonal != idx.local
@@ -133,34 +142,23 @@ def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
     starts = idx.offsets[:-1]
     ones = np.add.reduceat(t >= 0, starts, axis=0, dtype=np.int64)
     both = np.add.reduceat(x.mirrored(), starts, axis=0, dtype=np.int64)
-    upper = np.triu(np.ones((idx.k, idx.k), dtype=bool))
-    symmetry = int((ones + ones.T - 2 * both)[upper].sum())
-    transitivity = 0
+    symmetry = int(np.triu(ones + ones.T - 2 * both).sum())
+    transitivity = composed = contradicted = 0
+    j, l = np.arange(idx.k)[:, None], np.arange(idx.k)[None, :]
     for i, comp, direct in _three_hops(x):
+        hit = comp >= 0
+        bad = hit & (comp != direct[:, None, :])
         # Compositions i -> j -> l with l >= i, through every j.
-        tail = comp[:, :, i:]
-        transitivity += int(np.sum((tail >= 0) & (tail != direct[:, None, i:])))
-    return CycleReport(identity=identity, symmetry=symmetry, transitivity=transitivity)
+        transitivity += int(np.count_nonzero(bad[:, :, i:]))
+        distinct = (j != i) & (l != i) & (j != l)
+        composed += int(np.count_nonzero(hit & distinct))
+        contradicted += int(np.count_nonzero(bad & distinct))
+    return CycleReport(identity, symmetry, transitivity, composed, contradicted)
 
 
 def cycle_error(x: PairwiseMatchingSet) -> float:
-    """Fraction of composed three-cycle matches that contradict the direct map.
-
-    Over all ordered triples of distinct objects ``(i, j, l)``, the numerator
-    counts composed matches ``i -> j -> l`` that land where the direct block
-    has none, and the denominator counts all composed matches.  An input with
-    no composed matches scores 0.
-    """
-    k = x.k
-    j, l = np.arange(k)[:, None], np.arange(k)[None, :]
-    violations = 0
-    total = 0
-    for i, comp, direct in _three_hops(x):
-        distinct = (j != i) & (l != i) & (j != l)
-        hit = (comp >= 0) & distinct
-        total += int(hit.sum())
-        violations += int(np.sum(hit & (comp != direct[:, None, :])))
-    return violations / total if total > 0 else 0.0
+    """:attr:`CycleReport.cycle_error` of ``x``'s :func:`verify_cycle_consistency` report."""
+    return verify_cycle_consistency(x).cycle_error
 
 
 def _pairs(counts: np.ndarray) -> int:

@@ -17,6 +17,7 @@ from hippi.core import (
     PairwiseMatchingSet,
     SimilarityMatrix,
     UniverseAssignment,
+    as_integer,
 )
 
 
@@ -182,6 +183,33 @@ def loop_cycle_error(x) -> float:
                 total += int(np.sum(hit))
                 violations += int(np.sum(hit & (comp != x.block_map(i, l))))
     return violations / total if total > 0 else 0.0
+
+
+def loop_load_pairwise(doc: dict) -> PairwiseMatchingSet:
+    """A parsed pairwise document as a matching set, one match at a time.
+
+    The per-match reader that ``io.load_pairwise`` replaced: each entry is
+    converted, range-checked and checked against the cells earlier entries
+    wrote before it is written, so the first bad entry in file order raises.
+    """
+    index = BlockIndex(sizes=tuple(doc["sizes"]))
+    targets = np.full((index.m, index.k), -1, dtype=np.int64)
+    targets[np.arange(index.m), index.owner] = index.local
+    for e, entry in enumerate(doc["matches"]):
+        i, p, j, q = (
+            v if type(v) is int else as_integer(v, f"match {e} field {r}")
+            for r, v in enumerate(entry)
+        )
+        if not (0 <= i < index.k and 0 <= j < index.k) or i == j:
+            raise ValueError(f"match {entry} names an invalid object pair")
+        if not (0 <= p < index.sizes[i] and 0 <= q < index.sizes[j]):
+            raise ValueError(f"match {entry} names a point outside its object")
+        g, h = index.offsets[i] + p, index.offsets[j] + q
+        if targets[g, j] not in (-1, q) or targets[h, i] not in (-1, p):
+            raise ValueError(f"match {entry} conflicts with an earlier one")
+        targets[g, j] = q
+        targets[h, i] = p
+    return PairwiseMatchingSet(targets=targets, index=index)
 
 
 def random_assignment(rng: np.random.Generator, sizes, d) -> UniverseAssignment:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from hippi import cli, io
+from hippi import cli, io, metrics
 from hippi.core import expand
 from hippi.kernels import WEIGHT_MODES
 from hippi.solver import UNIVERSE_RULES
@@ -289,6 +289,40 @@ class TestVerify:
 
     def test_requires_input(self):
         assert run(["verify"]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("entry", [[0, 1, 1], 3])
+    def test_match_that_is_not_four_values_exits_two_naming_it(self, tmp_path, capsys, entry):
+        doc = {
+            "format": io.PAIRWISE_FORMAT,
+            "version": io.FORMAT_VERSION,
+            "sizes": [2, 2],
+            "matches": [[0, 0, 1, 0], entry],
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "--pairwise", path]) == cli.EXIT_DATA
+        assert f"match 1 must be a list of four values, got {entry!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["pairwise", "assignment"])
+    def test_one_composition_sweep_gives_every_count(
+        self, problem_path, tmp_path, capsys, monkeypatch, source
+    ):
+        out = tmp_path / "run"
+        run(["solve", "--problem", problem_path, "--out", out, "--seed", "1"])
+        path = out / "assignment.json"
+        if source == "pairwise":
+            path = out / "pairwise.json"
+            io.save_pairwise(expand(io.load_assignment(out / "assignment.json")), path)
+        sweeps = []
+        three_hops = metrics._three_hops
+        monkeypatch.setattr(metrics, "_three_hops", lambda x: sweeps.append(x) or three_hops(x))
+        capsys.readouterr()
+        assert run(["verify", f"--{source}", path]) == cli.EXIT_OK
+        assert len(sweeps) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "identity=0 symmetry=0 transitivity=0 cycle_error=0.0",
+            "consistent",
+        ]
 
 
 class TestBench:

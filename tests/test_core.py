@@ -117,6 +117,24 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             SimilarityMatrix(data=w, index=self.index)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    def test_non_finite_pair_rejected_naming_its_row(self, value):
+        # A symmetric pair passes the symmetry test for inf, and NaN must not
+        # be reported as an asymmetry.
+        w = self.valid()
+        w[1, 2] = w[2, 1] = value
+        with pytest.raises(ValueError, match="similarity matrix row 1 is not finite"):
+            SimilarityMatrix(data=w, index=self.index)
+
+    def test_non_finite_entry_beyond_the_first_row_block_is_named(self):
+        # Rows are checked 256 at a time; both bad rows sit in the second block.
+        index = BlockIndex((280, 20))
+        w = np.zeros((300, 300))
+        w[290, 1] = w[1, 290] = 0.5
+        w[290, 285] = w[285, 290] = np.nan
+        with pytest.raises(ValueError, match="similarity matrix row 285 is not finite"):
+            SimilarityMatrix(data=w, index=index)
+
     def test_nonzero_diagonal_block_rejected(self):
         w = self.valid()
         w[0, 1] = w[1, 0] = 1.0  # both points belong to object 0

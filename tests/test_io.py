@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hippi import io
 from hippi.core import BlockIndex, UniverseAssignment, ProblemInstance, expand
@@ -11,7 +13,7 @@ from hippi.metrics import MatchReport
 from hippi.solver import SolverTrace
 from hippi.synth import GenConfig, generate
 
-from helpers import pack_maps, random_assignment
+from helpers import loop_load_pairwise, pack_maps, random_assignment
 
 
 @pytest.fixture
@@ -122,6 +124,53 @@ class TestProblemFiles:
         path = tmp_path / "empty.json"
         path.write_text("")
         with pytest.raises(ValueError):
+            io.load_problem(path)
+
+    @staticmethod
+    def with_sizes(problem, tmp_path, sizes):
+        path = tmp_path / "problem.json"
+        io.save_problem(problem, path)
+        doc = json.loads(path.read_text())
+        doc["sizes"] = sizes
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_sizes_disagreeing_with_the_points_rejected(self, problem, tmp_path):
+        sizes = list(problem.sizes)
+        sizes[2] = 99
+        path = self.with_sizes(problem, tmp_path, sizes)
+        message = f"object 2 has {problem.sizes[2]} points; sizes says 99"
+        with pytest.raises(ValueError, match=message):
+            io.load_problem(path)
+
+    def test_sizes_listing_another_object_count_rejected(self, problem, tmp_path):
+        *head, last = problem.sizes
+        path = self.with_sizes(problem, tmp_path, [*problem.sizes, 5])
+        with pytest.raises(ValueError, match=f"object {problem.k} has 0 points; sizes says 5"):
+            io.load_problem(path)
+        path = self.with_sizes(problem, tmp_path, head)
+        with pytest.raises(ValueError, match=f"object {len(head)} has {last} points; sizes says 0"):
+            io.load_problem(path)
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_non_integer_size_rejected_naming_the_object(self, problem, tmp_path, value):
+        sizes = list(problem.sizes)
+        sizes[1] = value
+        path = self.with_sizes(problem, tmp_path, sizes)
+        with pytest.raises(ValueError, match=f"object 1: size must be an integer, got {value!r}"):
+            io.load_problem(path)
+
+    def test_integral_float_size_accepted(self, problem, tmp_path):
+        path = self.with_sizes(problem, tmp_path, [float(s) for s in problem.sizes])
+        assert io.load_problem(path).sizes == problem.sizes
+
+    def test_missing_sizes_rejected_as_malformed(self, problem, tmp_path):
+        path = tmp_path / "problem.json"
+        io.save_problem(problem, path)
+        doc = json.loads(path.read_text())
+        del doc["sizes"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed problem document"):
             io.load_problem(path)
 
 
@@ -239,6 +288,78 @@ class TestPairwiseFiles:
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="outside its object"):
                 io.load_pairwise(path)
+
+    @pytest.mark.parametrize("entry", [[0, 0, 1], [0, 0, 1, 0, 1], 7, "0011", None])
+    def test_entry_that_is_not_four_values_rejected_naming_it(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        doc = {
+            "format": io.PAIRWISE_FORMAT,
+            "version": io.FORMAT_VERSION,
+            "sizes": [2, 2],
+            "matches": [[0, 0, 1, 0], entry, [0, 1, 1, 1]],
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^match 1 must be a list of four values, got"):
+            io.load_pairwise(path)
+
+
+@st.composite
+def pairwise_documents(draw):
+    """A pairwise document: a valid match list, or one with a few bad fields.
+
+    A valid list is a random subset of a consistent expansion, each match in
+    either orientation, some repeated, in random order.  Corruptions are
+    either integers anywhere (invalid pairs, points outside their object,
+    conflicts) or values that are not integers in otherwise valid entries, so
+    the first bad entry is the same whichever check meets it first.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = expand(random_assignment(rng, sizes, max(sizes) + draw(st.integers(0, 2))))
+    entries = [
+        [i, p, j, q] if rng.random() < 0.5 else [j, q, i, p]
+        for i, p, j, q in x.matched_pairs()
+        if rng.random() < 0.8
+    ]
+    if entries:
+        entries += [list(entries[r]) for r in rng.integers(len(entries), size=rng.integers(3))]
+    rng.shuffle(entries)
+    mode = draw(st.sampled_from(["valid", "integers", "types"]))
+    for _ in range(draw(st.integers(1, 3)) if entries and mode != "valid" else 0):
+        e, f = int(rng.integers(len(entries))), int(rng.integers(4))
+        v = entries[e][f]
+        if type(v) is not int:
+            continue  # already corrupted
+        if mode == "integers" and f % 2 and draw(st.booleans()):
+            # Another point of the same object: a likely conflict.
+            obj = entries[e][f - 1]
+            entries[e][f] = draw(st.integers(0, sizes[obj] - 1)) if 0 <= obj < len(sizes) else v
+        elif mode == "integers":
+            entries[e][f] = draw(st.integers(-2, max(len(sizes), *sizes) + 1))
+        else:
+            entries[e][f] = draw(st.sampled_from([float(v), v + 0.5, True, False, None, str(v)]))
+    return {
+        "format": io.PAIRWISE_FORMAT,
+        "version": io.FORMAT_VERSION,
+        "sizes": sizes,
+        "matches": entries,
+    }
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairwise_documents())
+def test_whole_array_loader_agrees_with_the_per_match_loop(tmp_path, doc):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    try:
+        expected = loop_load_pairwise(json.loads(path.read_text()))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            io.load_pairwise(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert io.load_pairwise(path) == expected
 
 
 class TestTraceFiles:
