@@ -2,11 +2,9 @@
 
 from hippi.assignment import lap_exact, project_to_universe
 from hippi.baselines import (
-    BASELINE_METHODS,
     greedy_init,
     pairwise_lap_matchings,
     random_init,
-    run_baseline,
     spectral_sync,
     vote_similarity,
 )
@@ -32,7 +30,6 @@ from hippi.kernels import (
 from hippi.metrics import (
     CycleReport,
     MatchReport,
-    cycle_error,
     fscore,
     verify_cycle_consistency,
 )
@@ -56,7 +53,6 @@ from hippi.synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASELINE_METHODS",
     "BlockIndex",
     "CycleReport",
     "DegenerateGeometryError",
@@ -78,7 +74,6 @@ __all__ = [
     "assert_psd",
     "build_adjacency",
     "build_similarity",
-    "cycle_error",
     "expand",
     "fscore",
     "generate",
@@ -91,7 +86,6 @@ __all__ = [
     "planted_assignment",
     "project_to_universe",
     "random_init",
-    "run_baseline",
     "spectral_sync",
     "twin_prototype_instance",
     "universe_size",

@@ -26,8 +26,6 @@ from hippi.core import (
     UniverseAssignment,
 )
 
-BASELINE_METHODS = ("spectral", "random", "greedy", "external-file")
-
 
 def pairwise_lap_matchings(w: SimilarityMatrix) -> PairwiseMatchingSet:
     """Match every pair of objects independently by a rectangular LAP.
@@ -122,39 +120,3 @@ def greedy_init(w: SimilarityMatrix, d: int) -> UniverseAssignment:
     scores[rows] = np.eye(n)
     return project_to_universe(scores, idx, columns=np.arange(n), d=d)
 
-
-def run_baseline(
-    name: str,
-    *,
-    index: BlockIndex,
-    d: int,
-    similarity: SimilarityMatrix | None = None,
-    seed=None,
-    path=None,
-) -> UniverseAssignment:
-    """Dispatch one of the named baseline slots to a universe assignment.
-
-    "spectral" and "greedy" need ``similarity``; "external-file" loads a
-    previously saved assignment (so methods not implemented here can still be
-    compared) and checks it against the expected object sizes.
-    """
-    if name == "random":
-        return random_init(index, d, seed)
-    if name == "greedy":
-        if similarity is None:
-            raise ValueError("greedy baseline needs a similarity matrix")
-        return greedy_init(similarity, d)
-    if name == "spectral":
-        if similarity is None:
-            raise ValueError("spectral baseline needs a similarity matrix")
-        return spectral_sync(pairwise_lap_matchings(similarity), d)
-    if name == "external-file":
-        if path is None:
-            raise ValueError("external-file baseline needs a path")
-        from hippi.io import load_assignment
-
-        u = load_assignment(path)
-        if u.index.sizes != index.sizes:
-            raise ValueError("external assignment does not match the problem's objects")
-        return u
-    raise ValueError(f"unknown baseline {name!r}; expected one of {BASELINE_METHODS}")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from hippi import io
-from hippi.baselines import BASELINE_METHODS, greedy_init, random_init, run_baseline
+from hippi.baselines import greedy_init, pairwise_lap_matchings, random_init, spectral_sync
 from hippi.core import ProblemInstance, as_integer, expand, integer_fields
 from hippi.kernels import WEIGHT_MODES, KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
@@ -49,7 +49,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
-METHODS = ("hippi",) + BASELINE_METHODS
+METHODS = ("hippi", "spectral", "random", "greedy", "external-file")
 INIT_METHODS = ("random", "greedy")
 
 
@@ -171,10 +171,28 @@ def _prepare_operator(cfg: RunConfig, p: ProblemInstance):
     return w, a
 
 
-def _initial_assignment(cfg: RunConfig, w, index, d):
-    if cfg.init == "greedy":
+def _matching_file(load, path, index):
+    """``load(path)``, rejected unless its objects are the problem's (``index``)."""
+    x = load(path)
+    io.check_sizes(path, x.index.sizes, index.sizes, "the problem has")
+    return x
+
+
+def _start_assignment(name: str, cfg: RunConfig, w, d: int):
+    """The assignment ``name`` gives: hippi's start (``--init``) or a baseline (``--method``).
+
+    "external-file" loads ``cfg.external``, a previously saved assignment, so
+    methods not implemented here can still be compared.
+    """
+    if name == "random":
+        return random_init(w.index, d, cfg.seed)
+    if name == "greedy":
         return greedy_init(w, d)
-    return random_init(index, d, cfg.seed)
+    if name == "spectral":
+        return spectral_sync(pairwise_lap_matchings(w), d)
+    if cfg.external is None:
+        raise ValueError("method external-file needs --external")
+    return _matching_file(io.load_assignment, cfg.external, w.index)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -184,23 +202,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     op = WbarOperator.from_kernels(w, a)
     started = time.perf_counter()
     if cfg.method == "hippi":
-        u0 = _initial_assignment(cfg, w, p.index, d)
-        u, trace = hippi_solve(op, u0, cfg.solver)
+        u, trace = hippi_solve(op, _start_assignment(cfg.init, cfg, w, d), cfg.solver)
     else:
-        u = run_baseline(
-            cfg.method, index=p.index, d=d, similarity=w, seed=cfg.seed, path=cfg.external
-        )
-        trace = SolverTrace(
-            objectives=np.array([objective(op, u)]),
-            wall_times=np.array([time.perf_counter() - started]),
-            converged=True,
-        )
+        u = _start_assignment(cfg.method, cfg, w, d)
+        trace = SolverTrace(objectives=np.array([objective(op, u)]), converged=True)
     runtime = time.perf_counter() - started
     out = _out_dir(cfg)
     io.save_assignment(u, out / "assignment.json")
     io.save_trace(trace, out / "trace.csv")
     summary = (
-        f"method={cfg.method} d={d} iterations={trace.iterations} "
+        f"method={cfg.method} d={u.d} iterations={trace.iterations} "
         f"converged={trace.converged} objective={float(trace.objectives[-1])!r}"
     )
     if p.ground_truth is not None:
@@ -210,7 +221,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             out / "report.csv",
             method=cfg.method,
             index=p.index,
-            d=d,
+            d=u.d,
             iterations=trace.iterations,
             converged=trace.converged,
         )
@@ -226,12 +237,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ValueError("problem file has no ground truth to evaluate against")
     started = time.perf_counter()
     if cfg.pairwise is not None:
-        predicted = io.load_pairwise(cfg.pairwise)
+        predicted = _matching_file(io.load_pairwise, cfg.pairwise, p.index)
         d = 0  # not defined for a raw pairwise set
     elif cfg.assignment is not None:
-        predicted = io.load_assignment(cfg.assignment)
-        if predicted.index.sizes != p.index.sizes:
-            raise ValueError("assignment objects do not match the problem")
+        predicted = _matching_file(io.load_assignment, cfg.assignment, p.index)
         d = predicted.d
     else:
         raise ValueError("eval needs --assignment or --pairwise")

@@ -16,7 +16,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -138,21 +137,6 @@ class BlockIndex:
     def slice_of(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
 
-    def global_to_local(self, g: int) -> tuple[int, int]:
-        """Map a global point index to its ``(object, local)`` pair."""
-        g = int(g)
-        if not 0 <= g < self.m:
-            raise ValueError(f"global index {g} out of range [0, {self.m})")
-        i = bisect_right(self.offsets, g) - 1
-        return i, g - self.offsets[i]
-
-    def local_to_global(self, i: int, p: int) -> int:
-        if not 0 <= i < self.k:
-            raise ValueError(f"object index {i} out of range [0, {self.k})")
-        if not 0 <= p < self.sizes[i]:
-            raise ValueError(f"local index {p} out of range [0, {self.sizes[i]})")
-        return self.offsets[i] + p
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -232,10 +216,6 @@ class ProblemInstance:
     @property
     def m(self) -> int:
         return self.index.m
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features[0].shape[1]
 
     @cached_property
     def index(self) -> BlockIndex:
@@ -437,12 +417,6 @@ class UniverseAssignment:
             arr.setflags(write=False)
         return order, starts, occupied
 
-    def to_dense(self) -> np.ndarray:
-        """Materialise the binary ``m x d`` matrix (small instances only)."""
-        u = np.zeros((self.index.m, self.d))
-        u[np.arange(self.index.m), self.assignment] = 1.0
-        return u
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniverseAssignment):
             return NotImplemented
@@ -496,14 +470,6 @@ class PairwiseMatchingSet:
         """The map ``(i, j)``, as a read-only view."""
         return self.targets[self.index.slice_of(i), j]
 
-    def block_dense(self, i: int, j: int) -> np.ndarray:
-        """The binary ``m_i x m_j`` matching matrix of one block."""
-        mp = self.block_map(i, j)
-        x = np.zeros((self.index.sizes[i], self.index.sizes[j]))
-        rows = np.flatnonzero(mp >= 0)
-        x[rows, mp[rows]] = 1.0
-        return x
-
     def global_matches(self, *, upper=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each match, row-major, as arrays ``(g, j, h)``: global point ``g`` to ``h`` in ``j``.
 
@@ -537,9 +503,6 @@ class PairwiseMatchingSet:
         g, h = g[order], h[order]
         owner, local = self.index.owner, self.index.local
         return zip(owner[g].tolist(), local[g].tolist(), owner[h].tolist(), local[h].tolist())
-
-    def match_count(self) -> int:
-        return int(self.global_matches(upper=True)[0].size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairwiseMatchingSet):

@@ -128,12 +128,20 @@ def load_problem(path) -> ProblemInstance:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed problem document ({exc})") from exc
-    # A missing object counts as one of 0 points.
-    pairs = list(zip_longest(index.sizes, p.sizes, fillvalue=0))
+    check_sizes(path, p.sizes, index.sizes, "sizes says")
+    return p
+
+
+def check_sizes(path, sizes, expected, source: str) -> None:
+    """Reject the file ``path`` unless its object ``sizes`` are ``expected``.
+
+    The error names the first object that differs; a missing object counts
+    as one of 0 points.  ``source`` says where ``expected`` comes from.
+    """
+    pairs = list(zip_longest(sizes, expected, fillvalue=0))
     i = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
     if i is not None:
-        raise ValueError(f"{path}: object {i} has {pairs[i][1]} points; sizes says {pairs[i][0]}")
-    return p
+        raise ValueError(f"{path}: object {i} has {pairs[i][0]} points; {source} {pairs[i][1]}")
 
 
 def save_assignment(u: UniverseAssignment, path) -> None:
@@ -155,8 +163,7 @@ def load_assignment(path) -> UniverseAssignment:
         def row_name(r: int) -> str:
             if r >= index.m:
                 return f"assignment entry {r}"
-            i, p = index.global_to_local(r)
-            return f"object {i} row {p}: slot"
+            return f"object {index.owner[r]} row {index.local[r]}: slot"
 
         return UniverseAssignment(
             assignment=_integers(doc["assignment"], row_name),

@@ -134,9 +134,7 @@ def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdj
             raise DegenerateGeometryError(
                 f"object {i}: median nearest-neighbour distance is zero (coincident points)"
             )
-        block = np.exp(-(dist**2) / (2.0 * config.mu * sigma_a**2))
-        block = (block + block.T) / 2.0  # exact symmetry for asymmetric float input
-        blocks.append(block)
+        blocks.append(np.exp(-(dist**2) / (2.0 * config.mu * sigma_a**2)))
     return MultiAdjacency(blocks=tuple(blocks), index=instance.index)
 
 

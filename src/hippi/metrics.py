@@ -156,11 +156,6 @@ def verify_cycle_consistency(x: PairwiseMatchingSet) -> CycleReport:
     return CycleReport(identity, symmetry, transitivity, composed, contradicted)
 
 
-def cycle_error(x: PairwiseMatchingSet) -> float:
-    """:attr:`CycleReport.cycle_error` of ``x``'s :func:`verify_cycle_consistency` report."""
-    return verify_cycle_consistency(x).cycle_error
-
-
 def _pairs(counts: np.ndarray) -> int:
     """Unordered pairs within groups of the given sizes: ``sum C(n, 2)``."""
     return int((counts * (counts - 1) // 2).sum())
@@ -227,7 +222,7 @@ def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
         labels = _checked_labels(truth, index)
         tp, fp = _universe_counts(predicted, labels)
     elif isinstance(predicted, PairwiseMatchingSet):
-        index, consistency = predicted.index, cycle_error(predicted)
+        index, consistency = predicted.index, verify_cycle_consistency(predicted).cycle_error
         labels = _checked_labels(truth, index)
         tp, fp = _pairwise_counts(predicted, labels)
     else:

@@ -28,7 +28,6 @@ sums the same elements in the same order as an unblocked pass would.
 from __future__ import annotations
 
 import hashlib
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -63,25 +62,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverTrace:
-    """Objective value and wall time per iterate, plus the stop reason.
+    """Objective value per iterate, plus the stop reason.
 
-    An iterate's wall time covers the projection that produced it and its
-    evaluation; a repeated final iterate is not evaluated again.
+    ``objectives`` is a read-only float copy of the values given; the trace
+    holds no times, so a caller that wants them times the run itself.
     ``converged`` is True when the run stopped because an assignment
     repeated, False when it ran out of iterations.
     """
 
     objectives: np.ndarray
-    wall_times: np.ndarray
     converged: bool
 
     def __post_init__(self):
-        for name in ("objectives", "wall_times"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.objectives.shape != self.wall_times.shape:
-            raise ValueError("objectives and wall_times must align")
+        objectives = np.asarray(self.objectives, dtype=np.float64).copy()
+        objectives.flags.writeable = False
+        object.__setattr__(self, "objectives", objectives)
 
     @property
     def iterations(self) -> int:
@@ -214,9 +209,7 @@ def hippi_solve(
     """
     config = config or SolverConfig()
     objectives: list[float] = []
-    wall: list[float] = []
     seen: dict[bytes, float] = {}
-    tic = time.perf_counter()
     u = u0
     while True:
         digest = _digest(u)
@@ -226,18 +219,11 @@ def hippi_solve(
         else:
             p, mid, f = _evaluate(wbar, u)
             seen[digest] = f
-        wall.append(time.perf_counter() - tic)
         objectives.append(f)
         if converged or len(objectives) == config.max_iters:
             break
-        tic = time.perf_counter()
         u = _project(u, p, mid)
-    trace = SolverTrace(
-        objectives=np.asarray(objectives),
-        wall_times=np.asarray(wall),
-        converged=converged,
-    )
-    return u, trace
+    return u, SolverTrace(objectives=np.asarray(objectives), converged=converged)
 
 
 def universe_size(

@@ -40,10 +40,34 @@ def enumerate_assignments(sizes, d):
         yield tuple(c for block in combo for c in block)
 
 
+def to_dense(u: UniverseAssignment) -> np.ndarray:
+    """The binary ``m x d`` matrix ``U`` of a universe assignment, one point at a time."""
+    dense = np.zeros((u.index.m, u.d))
+    for g, slot in enumerate(u.assignment.tolist()):
+        dense[g, slot] = 1.0
+    return dense
+
+
 def dense_expand(u: UniverseAssignment) -> np.ndarray:
     """Pairwise matching matrix X = U U^T from the dense binary U."""
-    dense = u.to_dense()
+    dense = to_dense(u)
     return dense @ dense.T
+
+
+def block_dense(x: PairwiseMatchingSet, i: int, j: int) -> np.ndarray:
+    """The binary ``m_i x m_j`` matching matrix of the map ``(i, j)``."""
+    dense = np.zeros((x.index.sizes[i], x.index.sizes[j]))
+    for p, q in enumerate(x.block_map(i, j).tolist()):
+        if q >= 0:
+            dense[p, q] = 1.0
+    return dense
+
+
+def match_count(x: PairwiseMatchingSet) -> int:
+    """Cross-object matches, each unordered pair once: the entries of the maps ``(i, j)``, i < j."""
+    return sum(
+        int(np.sum(x.block_map(i, j) >= 0)) for i in range(x.k) for j in range(i + 1, x.k)
+    )
 
 
 def dense_wbar(op) -> np.ndarray:
@@ -170,7 +194,7 @@ def loop_cycle_violations(x) -> tuple[int, int, int]:
 
 
 def loop_cycle_error(x) -> float:
-    """``metrics.cycle_error`` with one Python loop iteration per ordered triple."""
+    """``CycleReport.cycle_error`` with one Python loop iteration per ordered triple."""
     k = x.k
     violations = total = 0
     for i in range(k):

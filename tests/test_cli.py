@@ -13,6 +13,8 @@ from hippi.kernels import WEIGHT_MODES
 from hippi.solver import UNIVERSE_RULES
 from hippi.synth import TRANSFORM_FAMILIES
 
+from helpers import random_assignment
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -99,6 +101,30 @@ class TestSolve:
         original = io.load_assignment(base / "assignment.json")
         copied = io.load_assignment(out / "assignment.json")
         assert np.array_equal(original.assignment, copied.assignment)
+
+    def test_external_file_method_reports_the_file_universe_size(
+        self, problem_path, tmp_path, capsys
+    ):
+        base = tmp_path / "base"
+        run(["solve", "--problem", problem_path, "--out", base, "--seed", "1", "--d", "30"])
+        out = tmp_path / "ext"
+        assert run(["solve", "--problem", problem_path, "--out", out,
+                    "--method", "external-file",
+                    "--external", base / "assignment.json"]) == cli.EXIT_OK
+        assert io.load_report(out / "report.csv")["d"] == "30"
+        assert capsys.readouterr().out.splitlines()[-2].startswith("method=external-file d=30 ")
+
+    def test_external_assignment_with_other_objects_is_data_error(
+        self, problem_path, tmp_path, capsys
+    ):
+        sizes = io.load_problem(problem_path).sizes
+        other = tmp_path / "other.json"
+        wider = (sizes[0] + 1, *sizes[1:])
+        io.save_assignment(random_assignment(np.random.default_rng(0), wider, 20), other)
+        assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
+                    "--method", "external-file", "--external", other]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{other}: object 0 has {wider[0]} points; the problem has {sizes[0]}" in err
 
     def test_external_file_method_without_path_is_data_error(self, problem_path, tmp_path):
         assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
@@ -223,6 +249,15 @@ class TestEval:
         empty.write_text("")
         assert run(["eval", "--problem", problem_path,
                     "--assignment", empty, "--out", tmp_path]) == cli.EXIT_DATA
+
+    def test_pairwise_file_with_other_objects_is_data_error(self, problem_path, tmp_path, capsys):
+        sizes = io.load_problem(problem_path).sizes
+        other = tmp_path / "two_objects.json"
+        io.save_pairwise(expand(random_assignment(np.random.default_rng(0), sizes[:2], 20)), other)
+        assert run(["eval", "--problem", problem_path,
+                    "--pairwise", other, "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{other}: object 2 has 0 points; the problem has {sizes[2]}" in err
 
     def test_mismatched_assignment_is_data_error(self, problem_path, tmp_path):
         other = tmp_path / "other"

@@ -13,7 +13,7 @@ from hippi.metrics import MatchReport
 from hippi.solver import SolverTrace
 from hippi.synth import GenConfig, generate
 
-from helpers import loop_load_pairwise, pack_maps, random_assignment
+from helpers import loop_load_pairwise, match_count, pack_maps, random_assignment
 
 
 @pytest.fixture
@@ -202,6 +202,21 @@ class TestAssignmentFiles:
         with pytest.raises(ValueError):
             io.load_assignment(path)
 
+    @pytest.mark.parametrize(
+        "row,name", [(0, "object 0 row 0: slot"), (4, "object 1 row 1: slot"),
+                     (8, "object 2 row 2: slot"), (9, "assignment entry 9")]
+    )
+    def test_bad_slot_named_by_object_and_row(self, tmp_path, row, name):
+        u = random_assignment(np.random.default_rng(10), (3, 3, 3), d=4)
+        path = tmp_path / "u.json"
+        io.save_assignment(u, path)
+        doc = json.loads(path.read_text())
+        doc["assignment"].append(0)  # one entry too many, so row 9 exists
+        doc["assignment"][row] = 1.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+            io.load_assignment(path)
+
 
 class TestPairwiseFiles:
     def test_round_trip_of_expanded_assignment(self, tmp_path):
@@ -220,7 +235,7 @@ class TestPairwiseFiles:
         io.save_pairwise(x, path)
         loaded = io.load_pairwise(path)
         assert loaded == x
-        assert loaded.match_count() == 1
+        assert match_count(loaded) == 1
 
     def test_conflicting_entries_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -365,29 +380,21 @@ def test_whole_array_loader_agrees_with_the_per_match_loop(tmp_path, doc):
 class TestTraceFiles:
     def test_round_trip_is_exact(self, tmp_path):
         objectives = np.array([1.0, 2.5, 2.5 + 1e-12, np.pi * 1e6])
-        trace = SolverTrace(
-            objectives=objectives,
-            wall_times=np.zeros(4),
-            converged=True,
-        )
+        trace = SolverTrace(objectives=objectives, converged=True)
         path = tmp_path / "trace.csv"
         io.save_trace(trace, path)
         assert np.array_equal(io.load_trace(path), objectives)
 
     def test_no_wall_time_column(self, tmp_path):
-        trace = SolverTrace(
-            objectives=np.array([3.0]), wall_times=np.array([123.456]), converged=False
-        )
+        trace = SolverTrace(objectives=np.array([3.0]), converged=False)
         path = tmp_path / "trace.csv"
         io.save_trace(trace, path)
         header = path.read_text().splitlines()[0]
         assert header == "iteration,objective"
-        assert "123.456" not in path.read_text()
+        assert path.read_text().splitlines() == [header, "0,3.0"]
 
     def test_iteration_numbers_start_at_zero(self, tmp_path):
-        trace = SolverTrace(
-            objectives=np.array([1.0, 4.0]), wall_times=np.zeros(2), converged=True
-        )
+        trace = SolverTrace(objectives=np.array([1.0, 4.0]), converged=True)
         path = tmp_path / "trace.csv"
         io.save_trace(trace, path)
         lines = path.read_text().splitlines()

@@ -34,7 +34,7 @@ def scalar_similarity(instance, sigma):
                 for q in range(idx.sizes[j]):
                     diff = instance.features[i][p] - instance.features[j][q]
                     val = np.exp(-float(diff @ diff) / (2 * sigma**2))
-                    w[idx.local_to_global(i, p), idx.local_to_global(j, q)] = val
+                    w[idx.offsets[i] + p, idx.offsets[j] + q] = val
     return w
 
 
