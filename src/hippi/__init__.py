@@ -46,7 +46,6 @@ from hippi.synth import (
     GenConfig,
     GenerationError,
     generate,
-    planted_assignment,
     twin_prototype_instance,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "lap_exact",
     "objective",
     "pairwise_lap_matchings",
-    "planted_assignment",
     "project_to_universe",
     "random_init",
     "spectral_sync",

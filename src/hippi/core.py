@@ -407,7 +407,8 @@ class UniverseAssignment:
         ``order`` lists the points by ascending slot, stably; the points of the
         ``r``-th occupied slot ``occupied[r]`` start at ``order[starts[r]]``.
         Only occupied slots appear, so all three cost ``O(m log m)`` whatever
-        ``d`` is.
+        ``d`` is.  This is the one grouping of points by slot: the solver,
+        :func:`expand` and the f-score read it, so none of them depends on ``d``.
         """
         order = np.argsort(self.assignment, kind="stable")
         col = self.assignment[order]
@@ -514,12 +515,17 @@ def expand(u: UniverseAssignment) -> PairwiseMatchingSet:
     """Materialise the pairwise matchings implied by a universe assignment.
 
     Blockwise this is ``X_ij = U_i U_j^T``: points match iff they share a
-    universe column, so one gather from the ``(d, k)`` table of each slot's
-    point in each object builds it, cycle-consistent by construction.
+    universe column, so one gather from the ``(d_occ, k)`` table of each
+    occupied slot's point in each object builds it, cycle-consistent by
+    construction.  A point's row in the table is its slot's rank among the
+    occupied slots of :attr:`~UniverseAssignment.slot_runs`, so neither cost
+    nor result depends on ``d``.
     """
     idx = u.index
-    slot_point = np.full((u.d, idx.k), -1, dtype=np.int64)
-    slot_point[u.assignment, idx.owner] = idx.local
-    targets = slot_point[u.assignment]
+    occupied = u.slot_runs[2]
+    rank = np.searchsorted(occupied, u.assignment)
+    slot_point = np.full((occupied.size, idx.k), -1, dtype=np.int64)
+    slot_point[rank, idx.owner] = idx.local
+    targets = slot_point[rank]
     targets.setflags(write=False)
     return PairwiseMatchingSet(targets=targets, index=idx)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from itertools import chain, repeat, zip_longest
 from operator import length_hint
 
@@ -249,7 +248,8 @@ def save_report(
     converged: bool,
 ) -> None:
     row = dict(method=method, k=index.k, m=index.m, d=d, iterations=iterations,
-               converged=converged, **asdict(report))
+               converged=converged)
+    row.update((c, getattr(report, c)) for c in REPORT_COLUMNS if c not in row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
         writer.writeheader()

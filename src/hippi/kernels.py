@@ -143,9 +143,7 @@ class PsdReport:
     """Per-block spectral diagnostics from :func:`assert_psd`."""
 
     min_eigenvalues: tuple[float, ...]
-    norms: tuple[float, ...]
     flagged: tuple[int, ...]
-    tolerance: float
     repaired: MultiAdjacency | None = None
 
     @property
@@ -161,14 +159,12 @@ def assert_psd(adjacency: MultiAdjacency, repair: bool = False, tol: float = PSD
     carries a copy of the adjacency with negative eigenvalues clamped to zero;
     the repair is logged, never silent.
     """
-    min_eigs, norms, flagged = [], [], []
+    min_eigs, flagged = [], []
     for i, block in enumerate(adjacency.blocks):
         # Eigenvalues only: the eigenvectors are needed just for a repair.
         vals = np.linalg.eigvalsh(block)
-        norm = float(np.abs(vals).max()) if vals.size else 0.0
         min_eigs.append(float(vals.min()))
-        norms.append(norm)
-        if vals.min() < -tol * norm:
+        if vals.min() < -tol * np.abs(vals).max():
             flagged.append(i)
     repaired = None
     if repair and flagged:
@@ -187,10 +183,4 @@ def assert_psd(adjacency: MultiAdjacency, repair: bool = False, tol: float = PSD
             else:
                 blocks.append(block)
         repaired = MultiAdjacency(blocks=tuple(blocks), index=adjacency.index)
-    return PsdReport(
-        min_eigenvalues=tuple(min_eigs),
-        norms=tuple(norms),
-        flagged=tuple(flagged),
-        tolerance=tol,
-        repaired=repaired,
-    )
+    return PsdReport(min_eigenvalues=tuple(min_eigs), flagged=tuple(flagged), repaired=repaired)

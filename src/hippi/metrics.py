@@ -12,10 +12,12 @@ the three-cycle matches behind ``cycle_error``.
 
 A universe assignment is scored in ``O(m log m)`` from counts, without
 expanding its ``k^2`` match maps: points match iff they share a slot, so the
-predicted pairs are ``sum C(n_s, 2)`` over slot occupancies and the true
-positives ``sum C(c, 2)`` over (slot, label) cells of inlier points.  Labels
-are only ever compared or compressed, never used as array sizes, so their
-magnitude costs nothing.
+predicted pairs are ``sum C(n_s, 2)`` over the occupancies of the occupied
+slots, read off :attr:`~hippi.core.UniverseAssignment.slot_runs`, and the
+true positives ``sum C(c, 2)`` over (slot, label) cells of inlier points.
+Slots and labels are only ever compared or compressed, never used as array
+sizes, so neither the universe size ``d`` nor a label's magnitude costs
+anything or changes a count.
 """
 
 from __future__ import annotations
@@ -31,16 +33,18 @@ from hippi.core import (  # noqa: F401
     PairwiseMatchingSet,
     UniverseAssignment,
     expand,
+    integer_fields,
 )
 
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Pair-level precision/recall/f-score plus consistency and runtime."""
+    """Pair-level match counts plus consistency and runtime.
 
-    precision: float
-    recall: float
-    fscore: float
+    Precision, recall and f-score are derived from the counts, so they cannot
+    disagree with them; a ratio with a zero denominator reads 0.
+    """
+
     true_positives: int
     false_positives: int
     false_negatives: int
@@ -48,38 +52,30 @@ class MatchReport:
     runtime_seconds: float = 0.0
 
     def __post_init__(self):
-        for name in ("precision", "recall", "fscore", "cycle_error"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("true_positives", "false_positives", "false_negatives"):
+        counts = ("true_positives", "false_positives", "false_negatives")
+        integer_fields(self, counts)
+        for name in counts:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not 0.0 <= self.cycle_error <= 1.0:
+            raise ValueError(f"cycle_error must be in [0, 1], got {self.cycle_error}")
         if self.runtime_seconds < 0:
             raise ValueError("runtime_seconds must be non-negative")
-        denom = self.precision + self.recall
-        expected = 2.0 * self.precision * self.recall / denom if denom > 0 else 0.0
-        if abs(self.fscore - expected) > 1e-9:
-            raise ValueError("fscore does not match 2pr/(p+r)")
 
-    @classmethod
-    def from_counts(
-        cls, tp: int, fp: int, fn: int, cycle_error: float = 0.0, runtime_seconds: float = 0.0
-    ) -> "MatchReport":
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        denom = precision + recall
-        f = 2.0 * precision * recall / denom if denom > 0 else 0.0
-        return cls(
-            precision=precision,
-            recall=recall,
-            fscore=f,
-            true_positives=int(tp),
-            false_positives=int(fp),
-            false_negatives=int(fn),
-            cycle_error=cycle_error,
-            runtime_seconds=runtime_seconds,
-        )
+    @property
+    def precision(self) -> float:
+        tp, fp = self.true_positives, self.false_positives
+        return tp / (tp + fp) if tp + fp > 0 else 0.0
+
+    @property
+    def recall(self) -> float:
+        tp, fn = self.true_positives, self.false_negatives
+        return tp / (tp + fn) if tp + fn > 0 else 0.0
+
+    @property
+    def fscore(self) -> float:
+        p, r = self.precision, self.recall
+        return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ def _universe_counts(u: UniverseAssignment, labels: list[np.ndarray]) -> tuple[i
     is a predicted cross-object match, and it is true when both points carry
     the same inlier label.
     """
-    predicted = _pairs(np.bincount(u.assignment, minlength=u.d))
+    predicted = _pairs(np.diff(u.slot_runs[1], append=u.m))
     flat = np.concatenate(labels)
     inlier = flat >= 0
     tp = _pairs(_cell_counts(u.assignment[inlier], flat[inlier]))
@@ -228,6 +224,4 @@ def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
     else:
         raise TypeError(f"cannot score a {type(predicted).__name__} as a matching")
     fn = _true_pairs(labels, index) - tp
-    return MatchReport.from_counts(
-        tp, fp, fn, cycle_error=consistency, runtime_seconds=runtime_seconds
-    )
+    return MatchReport(tp, fp, fn, cycle_error=consistency, runtime_seconds=runtime_seconds)

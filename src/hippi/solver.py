@@ -17,9 +17,13 @@ equality, and a repeat is caught before the operator is applied to it.
 gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies.  A
 column of ``Wb U``, ``U^T Wb U`` or the lift that belongs to an empty slot is
 exactly zero, so every product runs on the ``d_occ <= min(m, d)`` occupied
-slots only: one iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs over the used
-columns, and the lift reaches :func:`~hippi.assignment.project_to_universe`
-in that compact ``m x d_occ`` form with its slot numbers.  The gather
+slots only, grouped by :attr:`~hippi.core.UniverseAssignment.slot_runs`, and
+``f`` is summed over those slots alone.  The one array of an iteration that
+can be sized by ``d`` is the projection's fallback for a lift with a
+non-positive score.  One iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs
+over the used columns, and the lift reaches
+:func:`~hippi.assignment.project_to_universe` in that compact ``m x d_occ``
+form with its slot numbers.  The gather
 ``W U`` runs over blocks of :data:`GATHER_ROWS` rows, so it never copies all
 of ``W``: each block's permuted columns stay in cache, and each output entry
 sums the same elements in the same order as an unblocked pass would.
@@ -150,15 +154,13 @@ class WbarOperator:
 def _evaluate(wbar: WbarOperator, u: UniverseAssignment) -> tuple[np.ndarray, np.ndarray, float]:
     """One operator application: ``Wb U`` and ``U^T Wb U`` on the occupied slots, and ``f(U)``.
 
-    ``f`` is summed over the zero-padded ``d x d`` matrix, so its rounding does
-    not depend on how many slots are empty.
+    ``f`` is summed over the ``d_occ x d_occ`` matrix of the occupied slots;
+    an empty slot adds nothing, so ``f`` and its rounding do not depend on ``d``.
     """
-    order, starts, occupied = u.slot_runs
+    order, starts, _ = u.slot_runs
     p = wbar.times_assignment(u)
     mid = _pool_rows(p, order, starts)
-    padded = np.zeros((u.d, u.d))
-    padded[np.ix_(occupied, occupied)] = mid
-    return p, mid, float((padded * padded.T).sum())
+    return p, mid, float((mid * mid.T).sum())
 
 
 def _project(u: UniverseAssignment, p: np.ndarray, mid: np.ndarray) -> UniverseAssignment:

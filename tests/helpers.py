@@ -15,6 +15,7 @@ from hippi.core import (
     BlockIndex,
     MultiAdjacency,
     PairwiseMatchingSet,
+    ProblemInstance,
     SimilarityMatrix,
     UniverseAssignment,
     as_integer,
@@ -317,3 +318,38 @@ def dense_sparsify_topk(w: np.ndarray, t: int) -> np.ndarray:
     np.put_along_axis(keep, top, True, axis=1)
     keep |= keep.T
     return np.where(keep, w, 0.0)
+
+
+def planted_assignment(p: ProblemInstance, d: int) -> UniverseAssignment:
+    """The ground-truth universe assignment, with outliers parked injectively.
+
+    Inliers take their true universe column.  Outliers go to the surplus
+    columns after the largest true label, rotating round-robin with a running
+    offset across objects so that objects reuse surplus columns as late as
+    possible; when the surplus covers the total outlier count no two outliers
+    share a column and the assignment scores a perfect f-score.
+    """
+    if p.ground_truth is None:
+        raise ValueError("problem has no ground truth")
+    idx = p.index
+    if d < max(idx.sizes):
+        raise ValueError(f"universe size {d} is smaller than the largest object")
+    inlier_labels = np.concatenate(p.ground_truth)
+    inlier_labels = inlier_labels[inlier_labels >= 0]
+    base = int(inlier_labels.max()) + 1 if inlier_labels.size else 0
+    surplus = d - base
+    offset = 0
+    cols = []
+    for i in range(idx.k):
+        truth = p.ground_truth[i]
+        n_out = int(np.sum(truth < 0))
+        if n_out > surplus:
+            raise ValueError(
+                f"object {i} has {n_out} outliers but only {surplus} surplus columns"
+            )
+        block = np.empty(idx.sizes[i], dtype=np.int64)
+        block[truth >= 0] = truth[truth >= 0]
+        block[truth < 0] = base + (offset + np.arange(n_out)) % max(surplus, 1)
+        offset += n_out
+        cols.append(block)
+    return UniverseAssignment(assignment=np.concatenate(cols), d=d, index=idx)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hippi import cli, io, metrics
-from hippi.core import expand
+from hippi.core import UniverseAssignment, expand
 from hippi.kernels import WEIGHT_MODES
 from hippi.solver import UNIVERSE_RULES
 from hippi.synth import TRANSFORM_FAMILIES
@@ -300,6 +300,43 @@ class TestLargeLabels:
         moved = io.load_report(tmp_path / "shifted" / "report.csv")
         for key in ("true_positives", "false_positives", "false_negatives", "fscore"):
             assert moved[key] == plain[key]
+
+
+def resaved_with_universe_size(path, d, tmp_path):
+    """The assignment file at ``path`` saved again, naming a universe of ``d`` slots."""
+    u = io.load_assignment(path)
+    out = tmp_path / f"assignment_d{d}.json"
+    io.save_assignment(UniverseAssignment(u.assignment, d=d, index=u.index), out)
+    return out
+
+
+class TestHugeUniverse:
+    """Nothing that reads an assignment allocates by its universe size ``d``."""
+
+    @pytest.mark.parametrize("d", [2**20, 2**40])
+    def test_eval_verify_and_external_solve_print_what_the_file_at_its_own_d_prints(
+        self, problem_path, tmp_path, capsys, d
+    ):
+        run(["solve", "--problem", problem_path, "--out", tmp_path / "run", "--seed", "1"])
+        own = tmp_path / "run" / "assignment.json"
+        huge = resaved_with_universe_size(own, d, tmp_path)
+
+        def printed(path):
+            capsys.readouterr()
+            assert run(["eval", "--problem", problem_path, "--assignment", path,
+                        "--out", tmp_path / "eval"]) == cli.EXIT_OK
+            assert run(["verify", "--assignment", path]) == cli.EXIT_OK
+            assert run(["solve", "--problem", problem_path, "--method", "external-file",
+                        "--external", path, "--out", tmp_path / "ext"]) == cli.EXIT_OK
+            report = io.load_report(tmp_path / "ext" / "report.csv")
+            del report["runtime_seconds"]
+            return capsys.readouterr().out, report
+
+        (text, report), (huge_text, huge_report) = printed(own), printed(huge)
+        own_d = io.load_assignment(own).d
+        assert huge_text.replace(f" d={d} ", " d=? ") == text.replace(f" d={own_d} ", " d=? ")
+        assert huge_report == {**report, "d": str(d)}
+        assert "precision=" in text and "consistent" in text and "objective=" in text
 
 
 class TestVerify:

@@ -409,9 +409,7 @@ class TestTraceFiles:
 
 class TestReportFiles:
     def test_round_trip_values(self, tmp_path):
-        report = MatchReport.from_counts(
-            tp=8, fp=2, fn=4, cycle_error=0.125, runtime_seconds=1.5
-        )
+        report = MatchReport(8, 2, 4, cycle_error=0.125, runtime_seconds=1.5)
         path = tmp_path / "report.csv"
         io.save_report(
             report,

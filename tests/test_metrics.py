@@ -280,28 +280,24 @@ def test_fscore_requires_ground_truth():
 
 def test_match_report_validation():
     with pytest.raises(ValueError):
-        MatchReport(precision=1.2, recall=0.0, fscore=0.0,
-                    true_positives=0, false_positives=0, false_negatives=0)
+        MatchReport(true_positives=-1, false_positives=0, false_negatives=0)
     with pytest.raises(ValueError):
-        MatchReport(precision=1.0, recall=1.0, fscore=0.5,
-                    true_positives=1, false_positives=0, false_negatives=0)
+        MatchReport(true_positives=0, false_positives=0, false_negatives=0, runtime_seconds=-1.0)
     with pytest.raises(ValueError):
-        MatchReport(precision=0.0, recall=0.0, fscore=0.0, true_positives=-1,
-                    false_positives=0, false_negatives=0)
+        MatchReport(true_positives=0, false_positives=0, false_negatives=0, cycle_error=1.5)
     with pytest.raises(ValueError):
-        MatchReport(precision=0.0, recall=0.0, fscore=0.0, true_positives=0,
-                    false_positives=0, false_negatives=0, runtime_seconds=-1.0)
+        MatchReport(true_positives=1.5, false_positives=0, false_negatives=0)
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
-def test_from_counts_respects_formulas(tp, fp, fn):
-    report = MatchReport.from_counts(tp, fp, fn)
+def test_report_ratios_follow_counts(tp, fp, fn):
+    report = MatchReport(tp, fp, fn)
+    p, r = report.precision, report.recall
+    assert p == (tp / (tp + fp) if tp + fp else 0.0)
+    assert r == (tp / (tp + fn) if tp + fn else 0.0)
+    assert report.fscore == (2.0 * p * r / (p + r) if p + r else 0.0)
     assert 0.0 <= report.fscore <= 1.0
-    if tp + fp:
-        assert report.precision == tp / (tp + fp)
-    if tp + fn:
-        assert report.recall == tp / (tp + fn)
 
 
 def test_cycle_report_totals():

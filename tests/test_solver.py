@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hippi import solver
-from hippi.core import BlockIndex, MultiAdjacency, UniverseAssignment
+from hippi.core import BlockIndex, MultiAdjacency, UniverseAssignment, expand
+from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
     SolverConfig,
     WbarOperator,
@@ -340,6 +341,42 @@ def test_fast_paths_match_dense_oracle(sizes, extra, with_adjacency, seed):
         next(steps), next(steps)
     _assert_close(objective(op, u), float((mid * mid).sum()))
     _assert_close(lifts[0], wbar @ dense_u @ mid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_reports_are_bitwise_independent_of_universe_size(sizes, extra, seed):
+    """Objective, expansion, f-score and consistency of one assignment vector,
+    read as an assignment into ``d``, ``d + 1``, ``d + 10**6`` and ``2**40`` slots."""
+    rng = np.random.default_rng(seed)
+    index = BlockIndex(tuple(sizes))
+    w = rng.uniform(0.0, 1.0, size=(index.m, index.m))
+    blocks = tuple(gaussian_psd_matrix(rng, s) for s in sizes)
+    op = WbarOperator(
+        np.triu(w) + np.triu(w, 1).T,
+        index,
+        MultiAdjacency(tuple(np.triu(b) + np.triu(b, 1).T for b in blocks), index),
+    )
+    d = max(sizes) + extra
+    vector = random_assignment(rng, sizes, d).assignment
+    truth = [rng.integers(-1, d, size=s) for s in sizes]
+
+    def reports(universe):
+        u = UniverseAssignment(vector, d=universe, index=index)
+        x = expand(u)
+        return objective(op, u), x.targets, fscore(u, truth), verify_cycle_consistency(x)
+
+    f, targets, score, cycles = reports(d)
+    for universe in (d + 1, d + 10**6, 2**40):
+        f_u, targets_u, score_u, cycles_u = reports(universe)
+        assert np.float64(f_u).view(np.int64) == np.float64(f).view(np.int64)
+        assert np.array_equal(targets_u, targets)
+        assert score_u == score
+        assert cycles_u == cycles
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -6,13 +6,9 @@ from scipy.spatial.distance import pdist
 
 from hippi.core import BlockIndex, ProblemInstance, expand
 from hippi.metrics import fscore
-from hippi.synth import (
-    GenConfig,
-    GenerationError,
-    generate,
-    planted_assignment,
-    twin_prototype_instance,
-)
+from hippi.synth import GenConfig, GenerationError, generate, twin_prototype_instance
+
+from helpers import planted_assignment
 
 
 def clean_config(**overrides):
