@@ -303,7 +303,7 @@ def bench_instance(m: int, points_per_object: int, seed) -> ProblemInstance:
 def bench_ladder(cfg: RunConfig) -> list[dict]:
     """Time the per-iteration cost over the size ladder; optionally full solves."""
     rows = []
-    d = cfg.d or 40
+    d = 40 if cfg.d is None else cfg.d
     for idx, m in enumerate(cfg.sizes):
         p = bench_instance(m, cfg.points_per_object, (cfg.seed or 0) + idx)
         w, a = _prepare_operator(cfg, p)

@@ -31,6 +31,9 @@ PSD_TOL = 1e-8
 #: Tile side of the symmetry check, and rows per block of the finiteness check.
 SYMMETRY_TILE = 256
 
+#: Rows of ``W`` per block in :meth:`SimilarityMatrix.gather`; a block holds ``32 m`` floats.
+GATHER_ROWS = 32
+
 
 def _owned(a, dtype) -> np.ndarray:
     """A read-only, C-contiguous ``dtype`` array holding ``a``'s values.
@@ -279,6 +282,20 @@ class SimilarityMatrix:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.data[self.index.slice_of(i), self.index.slice_of(j)]
 
+    def gather(self, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """``W @ U`` on the occupied slots; ``order`` and ``starts`` are from ``slot_runs``.
+
+        By blocks of :data:`GATHER_ROWS` rows, whose permuted columns stay in cache.
+        """
+        out = np.empty((self.m, starts.size))
+        for r in range(0, self.m, GATHER_ROWS):
+            rows = slice(r, r + GATHER_ROWS)
+            out[rows] = np.add.reduceat(self.data[rows, order], starts, axis=1)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.data @ x
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimilarityMatrix):
             return NotImplemented
@@ -326,10 +343,6 @@ class MultiAdjacency:
             first = last
         object.__setattr__(self, "blocks", tuple(views))
         object.__setattr__(self, "_runs", tuple(runs))
-
-    @property
-    def m(self) -> int:
-        return self.index.m
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """Apply the block-diagonal matrix to a global vector or matrix."""

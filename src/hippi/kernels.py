@@ -58,9 +58,23 @@ class KernelConfig:
             raise ValueError("knn_sparsify must be >= 0 (0 keeps the matrix dense)")
 
 
+def _gaussian(dist: np.ndarray, scale: float) -> np.ndarray:
+    """``exp(-dist**2 / scale)``, computed in place in ``dist``, which it returns."""
+    np.square(dist, out=dist)
+    np.negative(dist, out=dist)
+    dist /= scale
+    return np.exp(dist, out=dist)
+
+
 def _nearest(dist: np.ndarray) -> np.ndarray:
     """Each row's smallest entry off the diagonal of a square distance matrix; inf if 1 x 1."""
-    return (dist + np.diag(np.full(dist.shape[0], np.inf))).min(axis=1)
+    # Over row-block copies with the diagonal set to inf: no second n x n array.
+    out = np.empty(dist.shape[0])
+    for r in range(0, dist.shape[0], BLOCK_ROWS):
+        rows = dist[r : r + BLOCK_ROWS].copy()
+        np.fill_diagonal(rows[:, r:], np.inf)
+        out[r : r + BLOCK_ROWS] = rows.min(axis=1)
+    return out
 
 
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
@@ -74,11 +88,7 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
     """
     idx = instance.index
     features = np.concatenate(instance.features)
-    w = cdist(features, features)
-    np.square(w, out=w)
-    np.negative(w, out=w)
-    w /= 2.0 * config.sigma**2
-    np.exp(w, out=w)
+    w = _gaussian(cdist(features, features), 2.0 * config.sigma**2)
     if config.weight_mode == "intra-ratio":
         # Down-weight descriptors that have a near-duplicate within their own
         # object: u_p = 1 - exp(-r_p^2 / 2 sigma^2) with r_p the nearest
@@ -86,7 +96,7 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
         # decreasing in intra-object proximity, 1 for isolated descriptors.
         # The exact functional form is this library's choice.
         nearest = np.concatenate([_nearest(squareform(pdist(f))) for f in instance.features])
-        trust = 1.0 - np.exp(-(nearest**2) / (2.0 * config.sigma**2))
+        trust = 1.0 - _gaussian(nearest, 2.0 * config.sigma**2)
         for r in range(0, idx.m, BLOCK_ROWS):
             rows = slice(r, r + BLOCK_ROWS)
             w[rows] *= np.outer(trust[rows], trust)
@@ -123,18 +133,19 @@ def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdj
 
     Uses ``instance.distances`` when present (e.g. precomputed geodesics),
     Euclidean point distances otherwise.  Objects with a single point get the
-    only consistent 1x1 kernel, ``[[1]]``.
+    only consistent 1x1 kernel, ``[[1]]``.  Each kernel overwrites its own
+    distance matrix, so the build peaks at twice the blocks it returns.
     """
     blocks = []
-    for i, pts in enumerate(instance.points):
-        dist = squareform(pdist(pts)) if instance.distances is None else instance.distances[i]
+    for i, p in enumerate(instance.points):
+        dist = squareform(pdist(p)) if instance.distances is None else instance.distances[i].copy()
         # A single point has no neighbour: sigma_a is inf and its kernel [[1]].
         sigma_a = float(np.median(_nearest(dist)))
         if sigma_a <= 0.0:
             raise DegenerateGeometryError(
                 f"object {i}: median nearest-neighbour distance is zero (coincident points)"
             )
-        blocks.append(np.exp(-(dist**2) / (2.0 * config.mu * sigma_a**2)))
+        blocks.append(_gaussian(dist, 2.0 * config.mu * sigma_a**2))
     return MultiAdjacency(blocks=tuple(blocks), index=instance.index)
 
 

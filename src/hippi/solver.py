@@ -23,10 +23,9 @@ can be sized by ``d`` is the projection's fallback for a lift with a
 non-positive score.  One iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs
 over the used columns, and the lift reaches
 :func:`~hippi.assignment.project_to_universe` in that compact ``m x d_occ``
-form with its slot numbers.  The gather
-``W U`` runs over blocks of :data:`GATHER_ROWS` rows, so it never copies all
-of ``W``: each block's permuted columns stay in cache, and each output entry
-sums the same elements in the same order as an unblocked pass would.
+form with its slot numbers.  The solver never reads ``W``'s storage: it
+takes ``W U`` from ``W``'s ``gather`` and ``W X`` from its ``@``, so a new
+kind of ``W`` plugs in as one type.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ from hippi.core import (
 )
 
 UNIVERSE_RULES = ("twice-average", "max-block")
-
-#: Rows of ``W`` gathered per block in ``W U``; a block holds ``32 m`` floats.
-GATHER_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -87,18 +83,6 @@ class SolverTrace:
         return int(self.objectives.size)
 
 
-def _gather_columns(w: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``W @ U`` on the occupied slots: add W's columns into their slots.
-
-    ``order`` and ``starts`` are an assignment's :attr:`~UniverseAssignment.slot_runs`.
-    """
-    out = np.empty((w.shape[0], starts.size))
-    for r in range(0, w.shape[0], GATHER_ROWS):
-        rows = slice(r, r + GATHER_ROWS)
-        out[rows] = np.add.reduceat(w[rows, order], starts, axis=1)
-    return out
-
-
 def _pool_rows(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``U^T @ X`` on the occupied slots: add X's rows into their slots."""
     return np.add.reduceat(x[order], starts, axis=0)
@@ -107,33 +91,21 @@ def _pool_rows(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarr
 class WbarOperator:
     """Matrix-free ``Wb = W^T A W``; ``adjacency=None`` means ``A = I``.
 
-    ``w`` must be exactly symmetric; that is not re-checked here.
-    :meth:`from_kernels` takes it from a :class:`SimilarityMatrix`, which
-    validates it on construction.
+    ``similarity`` is ``W``: any exactly symmetric operator with ``index``,
+    ``gather(order, starts)`` (``W U`` on the occupied slots) and ``@``.
+    :class:`SimilarityMatrix` is the dense one; it validates ``W`` itself.
     """
 
-    def __init__(
-        self,
-        w: np.ndarray,
-        index: BlockIndex,
-        adjacency: MultiAdjacency | None = None,
-    ):
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"similarity must be square, got {w.shape}")
-        if w.shape[0] != index.m:
-            raise ValueError(f"similarity is {w.shape[0]} x {w.shape[0]}, index has m={index.m}")
-        if adjacency is not None and adjacency.index.sizes != index.sizes:
+    def __init__(self, similarity: SimilarityMatrix, adjacency: MultiAdjacency | None = None):
+        if adjacency is not None and adjacency.index.sizes != similarity.index.sizes:
             raise ValueError("adjacency blocks do not match the object index")
-        self.w = w
-        self.index = index
+        self.similarity = similarity
+        self.index = similarity.index
         self.adjacency = adjacency
 
     @classmethod
-    def from_kernels(
-        cls, similarity: SimilarityMatrix, adjacency: MultiAdjacency | None
-    ) -> "WbarOperator":
-        return cls(similarity.data, similarity.index, adjacency)
+    def from_kernels(cls, similarity: SimilarityMatrix, adjacency: MultiAdjacency | None):
+        return cls(similarity, adjacency)
 
     def times_assignment(self, u: UniverseAssignment) -> np.ndarray:
         """``Wb @ U`` on ``u``'s occupied slots, without forming the one-hot ``U``.
@@ -145,10 +117,10 @@ class WbarOperator:
         if u.index.sizes != self.index.sizes:
             raise ValueError("assignment does not match the operator's index")
         order, starts, _ = u.slot_runs
-        wu = _gather_columns(self.w, order, starts)
+        wu = self.similarity.gather(order, starts)
         if self.adjacency is not None:
             wu = self.adjacency.matmul(wu)
-        return self.w @ wu
+        return self.similarity @ wu
 
 
 def _evaluate(wbar: WbarOperator, u: UniverseAssignment) -> tuple[np.ndarray, np.ndarray, float]:

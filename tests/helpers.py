@@ -71,11 +71,34 @@ def match_count(x: PairwiseMatchingSet) -> int:
     )
 
 
+class PlainSimilarity:
+    """A symmetric ``W`` for ``WbarOperator`` without :class:`SimilarityMatrix`'s checks.
+
+    For tests whose ``W`` has negative entries or non-zero diagonal blocks.
+    ``gather`` is the one-pass ``reduceat`` over all of ``W``'s permuted
+    columns (as in :func:`unblocked_gather`) and ``@`` a plain product.
+    """
+
+    def __init__(self, w, index: BlockIndex):
+        self.w = np.asarray(w, dtype=np.float64)
+        self.index = index
+
+    def gather(self, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.w[:, order], starts, axis=1)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.w @ x
+
+
 def dense_wbar(op) -> np.ndarray:
-    """``Wb = W A W`` of a ``WbarOperator`` as plain dense products (``A = I`` if absent)."""
+    """``Wb = W A W`` of a ``WbarOperator`` as plain dense products (``A = I`` if absent).
+
+    ``W`` is densified through the operator's own ``@``.
+    """
     m = op.index.m
+    w = op.similarity @ np.eye(m)
     a = np.eye(m) if op.adjacency is None else block_diag(*op.adjacency.blocks)
-    return op.w @ a @ op.w
+    return w @ a @ w
 
 
 def naive_objective(wbar: np.ndarray, u_dense: np.ndarray) -> float:
@@ -254,6 +277,16 @@ def integer_similarity(rng: np.random.Generator, sizes, high=4) -> SimilarityMat
         s = idx.slice_of(i)
         w[s, s] = 0.0
     return SimilarityMatrix(data=w, index=idx)
+
+
+def uniform_similarity(rng: np.random.Generator, index: BlockIndex) -> SimilarityMatrix:
+    """Random symmetric similarity, entries uniform in ``[0, 1)``, diagonal blocks zeroed."""
+    w = rng.uniform(0.0, 1.0, size=(index.m, index.m))
+    w = np.triu(w) + np.triu(w, 1).T
+    for i in range(index.k):
+        s = index.slice_of(i)
+        w[s, s] = 0.0
+    return SimilarityMatrix(data=w, index=index)
 
 
 def integer_psd_adjacency(rng: np.random.Generator, sizes, rank=2) -> MultiAdjacency:

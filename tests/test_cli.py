@@ -429,9 +429,10 @@ class TestBench:
             (["--sizes", "40,0"], "sizes must be a non-empty list"),
             (["--points-per-object", "0"], "points_per_object must be >= 1"),
             (["--d", "3"], r"universe size 3 is smaller than the largest object \(4\)"),
+            (["--d", "0"], r"universe size 0 is smaller than the largest object \(4\)"),
         ],
         ids=["iters-zero", "iters-negative", "sizes-empty", "sizes-zero", "points-zero",
-             "d-too-small"],
+             "d-too-small", "d-zero"],
     )
     def test_bad_settings_are_data_errors_naming_the_setting(
         self, tmp_path, capsys, flags, message

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hippi.cli import bench_instance
 from hippi.core import BlockIndex, MultiAdjacency, ProblemInstance
 from hippi.kernels import (
     DegenerateGeometryError,
@@ -178,6 +179,22 @@ class TestSimilarityMemory:
 
     def test_knn_sparsify_peak_below_two_w(self):
         assert self.peak_over_w(KernelConfig(sigma=2.0, knn_sparsify=5)) <= 1.6
+
+
+def test_adjacency_build_peaks_at_twice_its_blocks():
+    """The blocks list and :class:`MultiAdjacency`'s stacks of it, and no ``n x n`` temporaries.
+
+    Both hold every block while the stacks are filled, so twice the blocks is
+    the floor; 0.1% more leaves room for bookkeeping.
+    """
+    inst = bench_instance(3000, 1500, 0)  # two objects of 1500 points
+    tracemalloc.start()
+    try:
+        a = build_adjacency(inst, KernelConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sum(b.nbytes for b in a.blocks) <= 2.001
 
 
 class TestBuildAdjacency:

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hippi import solver
-from hippi.core import BlockIndex, MultiAdjacency, UniverseAssignment, expand
+from hippi.baselines import random_init
+from hippi.cli import bench_instance
+from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment, expand
+from hippi.kernels import KernelConfig, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
     SolverConfig,
@@ -16,8 +19,10 @@ from hippi.solver import (
     objective,
     universe_size,
 )
+from hippi.synth import GenConfig, generate
 
 from helpers import (
+    PlainSimilarity,
     dense_wbar,
     enumerate_assignments,
     gaussian_psd_matrix,
@@ -27,6 +32,7 @@ from helpers import (
     random_assignment,
     to_dense,
     unblocked_gather,
+    uniform_similarity,
 )
 
 
@@ -39,7 +45,7 @@ def integer_operator(rng, sizes):
 def test_identity_wbar_counts_squared_slot_occupancy():
     """With Wb = I the objective is the sum of squared slot occupancies."""
     index = BlockIndex(sizes=(2, 2))
-    op = WbarOperator(np.eye(4), index)
+    op = WbarOperator(PlainSimilarity(np.eye(4), index))
     shared = UniverseAssignment(np.array([0, 1, 0, 1]), d=2, index=index)
     assert objective(op, shared) == 8.0  # two slots of size two: 4 + 4
     spread = UniverseAssignment(np.array([0, 1, 2, 1]), d=3, index=index)
@@ -90,27 +96,25 @@ def test_gather_handles_empty_universe_slots():
 @pytest.mark.parametrize("m", [1, 31, 32, 33, 97])
 def test_row_blocked_gather_is_bit_identical_to_one_pass(m):
     rng = np.random.default_rng(m)
-    w = rng.normal(size=(m, m))
+    # One point per object, so any slot may hold several points.
+    index = BlockIndex((1,) * m)
+    w = uniform_similarity(rng, index)
     d = m + 7
     assignment = rng.choice(d, size=m, replace=True)
     assignment[: min(m, 3)] = 0  # a shared slot; at least seven slots stay empty
-    # One point per object, so any slot may hold several points.
-    u = UniverseAssignment(assignment, d=d, index=BlockIndex((1,) * m))
+    u = UniverseAssignment(assignment, d=d, index=index)
     order, starts, occupied = u.slot_runs
-    got = solver._gather_columns(w, order, starts)
-    want = unblocked_gather(w, assignment, d)[:, occupied]
+    got = w.gather(order, starts)
+    want = unblocked_gather(w.data, assignment, d)[:, occupied]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_operator_validation():
-    index = BlockIndex(sizes=(2, 2))
-    with pytest.raises(ValueError):
-        WbarOperator(np.zeros((3, 4)), index)
-    with pytest.raises(ValueError):
-        WbarOperator(np.zeros((3, 3)), index)
+    """Only the adjacency is checked here; ``W`` is checked by its own type."""
+    w = integer_similarity(np.random.default_rng(3), (2, 2))
     other = MultiAdjacency(blocks=(np.eye(4),), index=BlockIndex(sizes=(4,)))
-    with pytest.raises(ValueError):
-        WbarOperator(np.eye(4), index, other)
+    with pytest.raises(ValueError, match="adjacency blocks do not match"):
+        WbarOperator(w, other)
 
 
 def test_solver_config_validation():
@@ -138,7 +142,7 @@ def test_objective_never_decreases_on_float_psd_squares(seed):
     index = BlockIndex(sizes=sizes)
     w = rng.normal(size=(index.m, index.m))
     w = np.triu(w) + np.triu(w, 1).T
-    op = WbarOperator(w, index)
+    op = WbarOperator(PlainSimilarity(w, index))
     u0 = random_assignment(rng, sizes, max(sizes) + 1)
     _, trace = hippi_solve(op, u0)
     floor = -1e-9 * max(1.0, float(np.abs(trace.objectives).max()))
@@ -312,14 +316,13 @@ def test_fast_paths_match_dense_oracle(sizes, extra, with_adjacency, seed):
     on ragged float instances; ``extra = 0`` gives ``d`` = the largest object."""
     rng = np.random.default_rng(seed)
     index = BlockIndex(tuple(sizes))
-    w = rng.uniform(0.0, 1.0, size=(index.m, index.m))
-    w = np.triu(w) + np.triu(w, 1).T
+    w = uniform_similarity(rng, index)
     adjacency = None
     if with_adjacency:
         blocks = tuple(gaussian_psd_matrix(rng, s) for s in sizes)
         blocks = tuple(np.triu(b) + np.triu(b, 1).T for b in blocks)
         adjacency = MultiAdjacency(blocks=blocks, index=index)
-    op = WbarOperator(w, index, adjacency)
+    op = WbarOperator(w, adjacency)
     u = random_assignment(rng, sizes, max(sizes) + extra)
     wbar, dense_u = dense_wbar(op), to_dense(u)
     mid = dense_u.T @ wbar @ dense_u
@@ -354,12 +357,10 @@ def test_reports_are_bitwise_independent_of_universe_size(sizes, extra, seed):
     read as an assignment into ``d``, ``d + 1``, ``d + 10**6`` and ``2**40`` slots."""
     rng = np.random.default_rng(seed)
     index = BlockIndex(tuple(sizes))
-    w = rng.uniform(0.0, 1.0, size=(index.m, index.m))
+    w = uniform_similarity(rng, index)
     blocks = tuple(gaussian_psd_matrix(rng, s) for s in sizes)
     op = WbarOperator(
-        np.triu(w) + np.triu(w, 1).T,
-        index,
-        MultiAdjacency(tuple(np.triu(b) + np.triu(b, 1).T for b in blocks), index),
+        w, MultiAdjacency(tuple(np.triu(b) + np.triu(b, 1).T for b in blocks), index)
     )
     d = max(sizes) + extra
     vector = random_assignment(rng, sizes, d).assignment
@@ -411,7 +412,7 @@ def test_solver_is_deterministic():
     index = BlockIndex(sizes=sizes)
     w = rng.normal(size=(index.m, index.m))
     w = np.triu(w) + np.triu(w, 1).T
-    op = WbarOperator(w, index)
+    op = WbarOperator(PlainSimilarity(w, index))
     u0 = random_assignment(rng, sizes, 7)
     u_a, tr_a = hippi_solve(op, u0)
     u_b, tr_b = hippi_solve(op, u0)
@@ -441,3 +442,90 @@ def test_universe_size_rules():
 def test_universe_size_twice_average_clamps_to_largest_object():
     index = BlockIndex(sizes=(1, 1, 10))
     assert universe_size(index) == 10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_through_plain_similarity_is_byte_identical(seed):
+    """The solver reads ``W`` only through ``gather`` and ``@``: a ``W`` of another
+    type with the same values gives the same solve, bit for bit."""
+    rng = np.random.default_rng(500 + seed)
+    sizes = tuple(rng.integers(2, 9, size=rng.integers(2, 7)).tolist())
+    index = BlockIndex(sizes)
+    w = uniform_similarity(rng, index)
+    adjacency = MultiAdjacency(tuple(gaussian_psd_matrix(rng, s) for s in sizes), index)
+    u0 = random_assignment(rng, sizes, max(sizes) + 2)
+    u, trace = hippi_solve(WbarOperator(w, adjacency), u0)
+    u_plain, trace_plain = hippi_solve(WbarOperator(PlainSimilarity(w.data, index), adjacency), u0)
+    assert u_plain.assignment.tobytes() == u.assignment.tobytes()
+    assert trace_plain.objectives.tobytes() == trace.objectives.tobytes()
+
+
+def tiny_problem(shape: str, seed: int):
+    """``(W, A, d)`` of one problem of the benchmark's workloads at their tiny size."""
+    if shape == "noisy-outliers":
+        p = generate(
+            GenConfig(
+                k=10,
+                d_true=20,
+                visibility=0.8,
+                coord_noise_sigma=0.02,
+                feature_dim=8,
+                feature_noise_sigma=0.3,
+                outlier_fraction=0.2,
+                seed=seed,
+            )
+        )
+        kernel = KernelConfig(weight_mode="intra-ratio")
+    else:
+        p = bench_instance(200, 20 if shape == "many-objects" else 25, seed)
+        kernel = KernelConfig()
+    d = 40 if shape == "many-objects" else universe_size(p.index)
+    return build_similarity(p, kernel), build_adjacency(p, kernel), d
+
+
+TINY_SHAPES = st.sampled_from(["many-objects", "large-objects", "noisy-outliers"])
+
+
+def solve_through_both(w: SimilarityMatrix, a: MultiAdjacency, u0: UniverseAssignment):
+    """``hippi_solve`` from ``u0`` through ``w`` and through a plain copy of it."""
+    plain = PlainSimilarity(w.data, w.index)
+    return [hippi_solve(WbarOperator(sim, a), u0) for sim in (w, plain)]
+
+
+def assert_same_objective(got: float, want: float):
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=8, deadline=None)
+@given(shape=TINY_SHAPES, seed=st.integers(0, 2**31 - 1))
+def test_relabelling_slots_relabels_the_solution(shape, seed):
+    """Permuting the start's slots permutes the final assignment the same way."""
+    w, a, d = tiny_problem(shape, seed)
+    u0 = random_init(w.index, d, seed)
+    perm = np.random.default_rng(seed).permutation(d)
+    u0_perm = UniverseAssignment(perm[u0.assignment], d=d, index=w.index)
+    for (u, trace), (u_perm, trace_perm) in zip(
+        solve_through_both(w, a, u0), solve_through_both(w, a, u0_perm)
+    ):
+        assert np.array_equal(u_perm.assignment, perm[u.assignment])
+        assert_same_objective(trace_perm.objectives[-1], trace.objectives[-1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(shape=TINY_SHAPES, seed=st.integers(0, 2**31 - 1))
+def test_reversing_the_objects_reverses_the_solution(shape, seed):
+    """Listing the objects last to first gives the same matching, object by object."""
+    w, a, d = tiny_problem(shape, seed)
+    index = w.index
+    u0 = random_init(index, d, seed)
+    objects = range(index.k - 1, -1, -1)
+    points = np.concatenate([np.arange(index.m)[index.slice_of(i)] for i in objects])
+    rev_index = BlockIndex(index.sizes[::-1])
+    w_rev = SimilarityMatrix(w.data[np.ix_(points, points)], rev_index)
+    a_rev = MultiAdjacency(a.blocks[::-1], rev_index)
+    u0_rev = UniverseAssignment(u0.assignment[points], d=d, index=rev_index)
+    for (u, trace), (u_rev, trace_rev) in zip(
+        solve_through_both(w, a, u0), solve_through_both(w_rev, a_rev, u0_rev)
+    ):
+        assert np.array_equal(u_rev.assignment, u.assignment[points])
+        assert_same_objective(trace_rev.objectives[-1], trace.objectives[-1])
