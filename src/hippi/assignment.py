@@ -7,8 +7,9 @@ surplus columns simply stay free).  :func:`lap_exact` solves each block, a
 plain score array, exactly with scipy's shortest-augmenting-path solver.  Its
 cost grows with the number of columns, so callers hand over only the columns
 of the slots that may score nonzero (the solver's lift on its occupied slots,
-an initialisation's anchor slots), and the empty slots, which score zero,
-are left out of the LAPs whenever that is exact.
+an initialisation's anchor slots); the empty slots, which score zero, are
+left out of the LAPs whenever that is exact, and otherwise only as many are
+added as an object has points, so no array is sized by the universe.
 
 scipy starts every solve from zero dual variables.  On the solver's lift,
 a positive product of non-negative kernels, a few column effects dominate
@@ -82,11 +83,7 @@ def _solve_block(block: np.ndarray, positive: bool) -> np.ndarray:
 
 
 def project_to_universe(
-    v: np.ndarray,
-    index: BlockIndex,
-    *,
-    columns: np.ndarray | None = None,
-    d: int | None = None,
+    v: np.ndarray, index: BlockIndex, *, columns: np.ndarray, d: int
 ) -> UniverseAssignment:
     """Euclidean projection of an ``m x d`` score matrix onto assignments.
 
@@ -95,17 +92,18 @@ def project_to_universe(
     the k blocks independently, one :func:`lap_exact` call each.
 
     ``v`` holds the scores of the strictly ascending slots ``columns`` of a
-    universe of ``d`` slots; every other slot scores zero.  Without
-    ``columns`` and ``d``, ``v`` holds all ``d = v.shape[1]`` slots.
+    universe of ``d`` slots; every other slot is empty and scores zero.
 
     If ``v`` has at least ``max_i m_i`` columns and every entry is positive,
-    each block is solved on ``v``'s columns alone; otherwise ``v`` is
-    scattered to all ``d`` slots and every block is solved over them.  This
-    is exact: an empty slot is a zero column, and in any assignment of a
-    block that puts a row on one, fewer than ``m_i`` rows sit on ``v``'s
-    columns, so one of them is free, and moving the row there raises the
-    score by a positive entry.  No optimum uses an empty slot, so the optima
-    of the restricted LAP are exactly those of the full one.
+    each block is solved on ``v``'s columns alone.  This is exact: an empty
+    slot is a zero column, and in any assignment of a block that puts a row
+    on one, fewer than ``m_i`` rows sit on ``v``'s columns, so one of them is
+    free, and moving the row there raises the score by a positive entry.  No
+    optimum uses an empty slot, so the optima of the restricted LAP are
+    exactly those of the full one.  Otherwise the lowest ``max_i m_i`` empty
+    slots (all of them, if fewer) join ``v`` as zero columns in slot order,
+    which is exact too: a block of ``n <= max_i m_i`` rows uses at most ``n``
+    empty slots, and all of them score alike.  So no array is sized by ``d``.
 
     When every solved score is positive, a block of ``n >= CENTRED_MIN_ROWS``
     rows and ``c`` columns goes to :func:`lap_exact` transformed in four
@@ -129,15 +127,12 @@ def project_to_universe(
     could overflow are solved as they are.
     """
     v = np.asarray(v, dtype=np.float64)
-    if (columns is None) != (d is None):
-        raise ValueError("columns and d must be given together")
     if v.ndim != 2 or v.shape[0] != index.m:
-        raise ValueError(f"scores must be ({index.m}, d), got {v.shape}")
-    width, largest = v.shape[1], max(index.sizes)
-    d = width if d is None else int(d)
+        raise ValueError(f"scores must be ({index.m}, width), got {v.shape}")
+    width, largest, d = v.shape[1], max(index.sizes), int(d)
     if d < largest:
         raise ValueError(f"universe size {d} is smaller than the largest object ({largest})")
-    columns = np.arange(d) if columns is None else np.asarray(columns)
+    columns = np.asarray(columns)
     if (
         columns.shape != (width,)
         or (np.diff(columns) <= 0).any()
@@ -145,10 +140,14 @@ def project_to_universe(
     ):
         raise ValueError(f"columns must be {width} ascending slots in [0, {d})")
     positive = width >= largest and v.min() > 0
-    if not positive and width < d:
-        full = np.zeros((index.m, d))
-        full[:, columns] = v
-        v, columns = full, np.arange(d)
+    pad = 0 if positive else min(d - width, largest)
+    if pad:
+        # The first ``width + pad`` slots hold at least ``pad`` empty ones.
+        empty = np.setdiff1d(np.arange(width + pad), columns, assume_unique=True)[:pad]
+        merged = np.union1d(columns, empty)
+        padded = np.zeros((index.m, width + pad))
+        padded[:, np.searchsorted(merged, columns)] = v
+        v, columns = padded, merged
     cols = columns[
         np.concatenate([_solve_block(v[index.slice_of(i)], positive) for i in range(index.k)])
     ]

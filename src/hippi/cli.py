@@ -3,14 +3,14 @@
 Every run is driven by one :class:`RunConfig`, assembled from an optional
 JSON config file (sections "kernel", "solver", "generate", "run") whose
 fields are overridden by the command-line flags of the same argparse
-``dest``.  All randomness flows through the single seed, and the
-data outputs (problem/assignment JSON, trace CSV) are byte-identical across
-reruns of the same configuration; wall-clock numbers appear only in report
-rows and logs.
+``dest``.  All randomness flows through the single seed (0 unless set),
+and the data outputs (problem/assignment JSON, trace CSV) are
+byte-identical across reruns of the same configuration; wall-clock numbers
+appear only in report rows and logs.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, invalid
 configuration, failed strict PSD check, inconsistent matchings under
-``verify``), 3 solver failure.
+``verify``, an array too large for memory), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class RunConfig:
     init: str = "random"
     d: int | None = None
     universe_rule: str = "twice-average"
-    seed: int | None = None
+    seed: int = 0
     strict_psd: bool = False
     sizes: tuple[int, ...] = (500, 1000, 2000)
     points_per_object: int = 20
@@ -82,7 +82,7 @@ class RunConfig:
     generator: GenConfig | None = None
 
     def __post_init__(self):
-        integer_fields(self, ("points_per_object", "bench_iters"), ("d", "seed"))
+        integer_fields(self, ("points_per_object", "bench_iters", "seed"), ("d",))
         sizes = tuple(as_integer(s, f"sizes[{i}]") for i, s in enumerate(self.sizes))
         object.__setattr__(self, "sizes", sizes)
         if self.method not in METHODS:
@@ -179,32 +179,29 @@ def _matching_file(load, path, index):
 
 
 def _start_assignment(name: str, cfg: RunConfig, w, d: int):
-    """The assignment ``name`` gives: hippi's start (``--init``) or a baseline (``--method``).
-
-    "external-file" loads ``cfg.external``, a previously saved assignment, so
-    methods not implemented here can still be compared.
-    """
+    """The assignment ``name`` gives: hippi's start (``--init``) or a baseline (``--method``)."""
     if name == "random":
         return random_init(w.index, d, cfg.seed)
     if name == "greedy":
         return greedy_init(w, d)
-    if name == "spectral":
-        return spectral_sync(pairwise_lap_matchings(w), d)
-    if cfg.external is None:
-        raise ValueError("method external-file needs --external")
-    return _matching_file(io.load_assignment, cfg.external, w.index)
+    return spectral_sync(pairwise_lap_matchings(w), d)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     p = io.load_problem(cfg.problem)
+    external = None  # a saved assignment, so methods not implemented here can be compared
+    if cfg.method == "external-file":
+        if cfg.external is None:
+            raise ValueError("method external-file needs --external")
+        external = _matching_file(io.load_assignment, cfg.external, p.index)
+    d = universe_size(p.index, cfg.universe_rule, cfg.d) if external is None else external.d
     w, a = _prepare_operator(cfg, p)
-    d = universe_size(p.index, cfg.universe_rule, cfg.d)
     op = WbarOperator.from_kernels(w, a)
     started = time.perf_counter()
     if cfg.method == "hippi":
         u, trace = hippi_solve(op, _start_assignment(cfg.init, cfg, w, d), cfg.solver)
     else:
-        u = _start_assignment(cfg.method, cfg, w, d)
+        u = _start_assignment(cfg.method, cfg, w, d) if external is None else external
         trace = SolverTrace(objectives=np.array([objective(op, u)]), converged=True)
     runtime = time.perf_counter() - started
     out = _out_dir(cfg)
@@ -303,9 +300,9 @@ def bench_instance(m: int, points_per_object: int, seed) -> ProblemInstance:
 def bench_ladder(cfg: RunConfig) -> list[dict]:
     """Time the per-iteration cost over the size ladder; optionally full solves."""
     rows = []
-    d = 40 if cfg.d is None else cfg.d
     for idx, m in enumerate(cfg.sizes):
-        p = bench_instance(m, cfg.points_per_object, (cfg.seed or 0) + idx)
+        p = bench_instance(m, cfg.points_per_object, cfg.seed + idx)
+        d = universe_size(p.index, cfg.universe_rule, cfg.d)
         w, a = _prepare_operator(cfg, p)
         op = WbarOperator.from_kernels(w, a)
         steps = iterates(op, random_init(p.index, d, cfg.seed))
@@ -447,7 +444,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (RuntimeError, np.linalg.LinAlgError) as exc:

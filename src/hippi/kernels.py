@@ -162,20 +162,20 @@ class PsdReport:
         return not self.flagged
 
 
-def assert_psd(adjacency: MultiAdjacency, repair: bool = False, tol: float = PSD_TOL) -> PsdReport:
+def assert_psd(adjacency: MultiAdjacency, repair: bool = False) -> PsdReport:
     """Check every adjacency block for positive semidefiniteness.
 
     A block is flagged when its smallest eigenvalue drops below
-    ``-tol * ||A_i||`` (spectral norm).  With ``repair=True`` the report also
-    carries a copy of the adjacency with negative eigenvalues clamped to zero;
-    the repair is logged, never silent.
+    ``-PSD_TOL * ||A_i||`` (spectral norm).  With ``repair=True`` the report
+    also carries a copy of the adjacency with negative eigenvalues clamped to
+    zero; the repair is logged, never silent.
     """
     min_eigs, flagged = [], []
     for i, block in enumerate(adjacency.blocks):
         # Eigenvalues only: the eigenvectors are needed just for a repair.
         vals = np.linalg.eigvalsh(block)
         min_eigs.append(float(vals.min()))
-        if vals.min() < -tol * np.abs(vals).max():
+        if vals.min() < -PSD_TOL * np.abs(vals).max():
             flagged.append(i)
     repaired = None
     if repair and flagged:

@@ -18,9 +18,9 @@ gather/scatter passes over ``W`` rather than dense ``m x d`` multiplies.  A
 column of ``Wb U``, ``U^T Wb U`` or the lift that belongs to an empty slot is
 exactly zero, so every product runs on the ``d_occ <= min(m, d)`` occupied
 slots only, grouped by :attr:`~hippi.core.UniverseAssignment.slot_runs`, and
-``f`` is summed over those slots alone.  The one array of an iteration that
-can be sized by ``d`` is the projection's fallback for a lift with a
-non-positive score.  One iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs
+``f`` is summed over those slots alone.  No array of an iteration is sized
+by ``d``: the projection adds at most ``max_i m_i`` empty slots to a lift
+with a non-positive score.  One iteration costs ``O(m^2 d_occ)`` plus ``k`` LAPs
 over the used columns, and the lift reaches
 :func:`~hippi.assignment.project_to_universe` in that compact ``m x d_occ``
 form with its slot numbers.  The solver never reads ``W``'s storage: it

@@ -41,10 +41,10 @@ class GenConfig:
     occlusion_rect: tuple[float, float, float, float] | None = None
     transform_family: str = "rigid"
     feature_prototypes: int | None = None
-    seed: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
-        integer_fields(self, ("k", "d_true", "feature_dim"), ("feature_prototypes", "seed"))
+        integer_fields(self, ("k", "d_true", "feature_dim", "seed"), ("feature_prototypes",))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d_true < 1:

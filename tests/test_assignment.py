@@ -16,6 +16,11 @@ from hippi.kernels import KernelConfig, build_similarity
 from helpers import brute_force_lap, random_assignment
 
 
+def project_every_slot(v: np.ndarray, index: BlockIndex) -> UniverseAssignment:
+    """Project scores given for every slot of a universe of ``v.shape[1]`` slots."""
+    return project_to_universe(v, index, columns=np.arange(v.shape[1]), d=v.shape[1])
+
+
 def value(scores: np.ndarray, cols: np.ndarray) -> float:
     """Total score of the assignment ``row -> cols[row]``."""
     return float(scores[np.arange(scores.shape[0]), cols].sum())
@@ -98,7 +103,7 @@ def test_projection_matches_per_block_brute_force(data):
     d = data.draw(st.integers(max(sizes), max(sizes) + 3), label="d")
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
     v = np.random.default_rng(seed).normal(size=(index.m, d))
-    u = project_to_universe(v, index)
+    u = project_every_slot(v, index)
     for i in range(index.k):
         best, _ = brute_force_lap(v[index.slice_of(i)])
         got = v[index.slice_of(i)][np.arange(sizes[i]), u.block(i)].sum()
@@ -109,7 +114,7 @@ def test_projection_dominates_random_feasible_points():
     rng = np.random.default_rng(17)
     index = BlockIndex(sizes=(3, 4, 2))
     v = rng.normal(size=(index.m, 5))
-    u = project_to_universe(v, index)
+    u = project_every_slot(v, index)
     star = v[np.arange(index.m), u.assignment].sum()
     for _ in range(50):
         other = random_assignment(rng, index.sizes, 5)
@@ -120,10 +125,10 @@ def test_projection_blocks_are_independent():
     rng = np.random.default_rng(23)
     index = BlockIndex(sizes=(3, 3, 3))
     v = rng.normal(size=(index.m, 4))
-    base = project_to_universe(v, index)
+    base = project_every_slot(v, index)
     bumped = v.copy()
     bumped[index.slice_of(1)] += rng.normal(size=(3, 4))
-    again = project_to_universe(bumped, index)
+    again = project_every_slot(bumped, index)
     assert again.block(0).tolist() == base.block(0).tolist()
     assert again.block(2).tolist() == base.block(2).tolist()
 
@@ -131,7 +136,7 @@ def test_projection_blocks_are_independent():
 def test_projection_returns_valid_assignment_with_surplus_columns():
     rng = np.random.default_rng(29)
     index = BlockIndex(sizes=(2, 5, 3))
-    u = project_to_universe(rng.normal(size=(index.m, 9)), index)
+    u = project_every_slot(rng.normal(size=(index.m, 9)), index)
     assert isinstance(u, UniverseAssignment)
     assert u.d == 9
 
@@ -139,9 +144,9 @@ def test_projection_returns_valid_assignment_with_surplus_columns():
 def test_projection_rejects_bad_inputs():
     index = BlockIndex(sizes=(2, 3))
     with pytest.raises(ValueError):
-        project_to_universe(np.zeros((5, 2)), index)  # d < max block
+        project_every_slot(np.zeros((5, 2)), index)  # d < max block
     with pytest.raises(ValueError):
-        project_to_universe(np.zeros((4, 4)), index)  # wrong row count
+        project_every_slot(np.zeros((4, 4)), index)  # wrong row count
 
 
 
@@ -180,11 +185,34 @@ def test_projection_solves_full_width_unless_every_score_is_positive(monkeypatch
     else:
         v[:, [1, 3, 4]] = rng.uniform(0.5, 1.0, size=(index.m, 3))
     inputs = lap_inputs(monkeypatch)
-    u = project_to_universe(v, index)
+    u = project_every_slot(v, index)
     assert [s.shape[1] for s in inputs] == [6, 6]
     for i in range(index.k):
         best, _ = brute_force_lap(v[index.slice_of(i)])
         assert block_score(v, index, u, i) == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["negative entry", "too few scored slots"])
+def test_projection_adds_at_most_the_largest_object_of_empty_slots(monkeypatch, case):
+    """However large ``d`` is, a block is solved over its scored slots and at most
+    ``max_i m_i`` empty ones, so ``d = 2**40`` projects like a universe of six
+    slots, and each block still reaches the optimum over all of them."""
+    rng = np.random.default_rng(47)
+    index = BlockIndex(sizes=(3, 2))
+    columns = np.array([0, 2, 5]) if case == "negative entry" else np.array([2, 5])
+    v = rng.uniform(0.5, 1.0, size=(index.m, columns.size))
+    if case == "negative entry":
+        v[1, 2] = -0.25
+    inputs = lap_inputs(monkeypatch)
+    huge = project_to_universe(v, index, columns=columns, d=2**40)
+    small = project_to_universe(v, index, columns=columns, d=6)
+    assert np.array_equal(huge.assignment, small.assignment)
+    assert {s.shape[1] for s in inputs} == {columns.size + max(index.sizes)}
+    dense = np.zeros((index.m, 6))
+    dense[:, columns] = v
+    for i in range(index.k):
+        best, _ = brute_force_lap(dense[index.slice_of(i)])
+        assert block_score(dense, index, small, i) == pytest.approx(best, rel=1e-12)
 
 
 def raw_lap_value(scores: np.ndarray) -> float:
@@ -229,7 +257,7 @@ def test_centred_blocks_score_what_the_raw_lap_scores(data):
     v = column_dominated(rng, index.m, top + extra, ties) * scale
     with pytest.MonkeyPatch.context() as mp:
         inputs = lap_inputs(mp)
-        u = project_to_universe(v, index)
+        u = project_every_slot(v, index)
     assert len(inputs) == index.k
     for i, solved in enumerate(inputs):
         block = v[index.slice_of(i)]
@@ -248,7 +276,7 @@ def test_scores_near_float_max_are_solved_as_they_are(monkeypatch):
     index = BlockIndex((CENTRED_MIN_ROWS, CENTRED_MIN_ROWS + 2))
     v = rng.uniform(0.5, 1.0, size=(index.m, CENTRED_MIN_ROWS + 30)) * 2e306
     inputs = lap_inputs(monkeypatch)
-    u = project_to_universe(v, index)
+    u = project_every_slot(v, index)
     for i, solved in enumerate(inputs):
         assert np.array_equal(solved, v[index.slice_of(i)])
         assert block_score(v, index, u, i) == raw_lap_value(v[index.slice_of(i)])
@@ -265,7 +293,7 @@ def test_blocks_outside_the_gate_reach_the_lap_unchanged(monkeypatch, case):
     elif case == "negative entry":
         v[n + 2, 11] = -1.0
     inputs = lap_inputs(monkeypatch)
-    project_to_universe(v, index)
+    project_every_slot(v, index)
     assert len(inputs) == index.k
     for i, solved in enumerate(inputs):
         assert np.array_equal(solved, v[index.slice_of(i)])
@@ -343,7 +371,7 @@ def test_compact_lift_projects_like_its_scattered_form(data):
     dense = np.zeros((index.m, d))
     dense[:, columns] = compact
     got = project_to_universe(compact, index, columns=columns, d=d)
-    want = project_to_universe(dense, index)
+    want = project_every_slot(dense, index)
     if kind in ("positive", "ties"):
         for i in range(index.k):
             assert block_score(dense, index, got, i) == block_score(dense, index, want, i)
@@ -355,8 +383,6 @@ def test_compact_lift_arguments_are_checked():
     index = BlockIndex((2, 2))
     v = np.ones((4, 3))
     for kwargs in (
-        {"columns": np.array([0, 1, 2])},
-        {"d": 4},
         {"columns": np.array([0, 2, 1]), "d": 4},
         {"columns": np.array([0, 1, 1]), "d": 4},
         {"columns": np.array([0, 1, 4]), "d": 4},

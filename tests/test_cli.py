@@ -58,6 +58,13 @@ class TestGenerate:
         assert run(["generate", "--config", cfg, "--out", out, "--k", "4"]) == cli.EXIT_OK
         assert io.load_problem(out / "problem.json").k == 4
 
+    def test_unseeded_runs_write_identical_bytes(self, tmp_path):
+        outs = [tmp_path / name for name in ("a", "b")]
+        for out in outs:
+            assert run(["generate", "--out", out, "--k", "3", "--d-true", "6",
+                        "--outlier-fraction", "0.2"]) == cli.EXIT_OK
+        assert (outs[0] / "problem.json").read_bytes() == (outs[1] / "problem.json").read_bytes()
+
 
 class TestSolve:
     def test_writes_assignment_trace_and_report(self, problem_path, tmp_path, capsys):
@@ -80,6 +87,15 @@ class TestSolve:
                         "--seed", "42"]) == cli.EXIT_OK
         for name in ("assignment.json", "trace.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_unseeded_runs_write_what_seed_zero_writes(self, problem_path, tmp_path):
+        seeds = {"a": [], "b": [], "zero": ["--seed", "0"]}
+        for name, flags in seeds.items():
+            assert run(["solve", "--problem", problem_path, "--out", tmp_path / name,
+                        *flags]) == cli.EXIT_OK
+        for name in ("assignment.json", "trace.csv"):
+            written = {(tmp_path / run_name / name).read_bytes() for run_name in seeds}
+            assert len(written) == 1
 
     @pytest.mark.parametrize("method", ["spectral", "random", "greedy"])
     def test_baseline_methods_run(self, problem_path, tmp_path, method):
@@ -108,7 +124,7 @@ class TestSolve:
         base = tmp_path / "base"
         run(["solve", "--problem", problem_path, "--out", base, "--seed", "1", "--d", "30"])
         out = tmp_path / "ext"
-        assert run(["solve", "--problem", problem_path, "--out", out,
+        assert run(["solve", "--problem", problem_path, "--out", out, "--d", "3",
                     "--method", "external-file",
                     "--external", base / "assignment.json"]) == cli.EXIT_OK
         assert io.load_report(out / "report.csv")["d"] == "30"
@@ -177,6 +193,30 @@ class TestSolve:
         monkeypatch.setattr(cli, "hippi_solve", boom)
         assert run(["solve", "--problem", problem_path,
                     "--out", tmp_path / "x"]) == cli.EXIT_SOLVER
+
+    def test_allocation_failure_is_data_error(self, problem_path, tmp_path, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+        monkeypatch.setattr(cli, "random_init", too_large)
+        assert run(["solve", "--problem", problem_path, "--d", 2**40,
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert "data error: Unable to allocate 8.00 TiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_universe_below_the_largest_object_fails_before_the_kernels(
+        self, problem_path, tmp_path, monkeypatch, capsys, command
+    ):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("kernels built for a universe that cannot hold the objects")
+        monkeypatch.setattr(cli, "build_similarity", unexpected)
+        argv = [command, "--d", "3", "--out", tmp_path / "x"]
+        if command == "solve":
+            argv += ["--problem", problem_path]
+        else:
+            argv += ["--sizes", "40", "--points-per-object", "4"]
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.search(r"universe size 3 is smaller than the largest object \(\d+\)", err)
 
     def test_strict_psd_accepts_clean_geometry(self, problem_path, tmp_path):
         assert run(["solve", "--problem", problem_path, "--out", tmp_path / "s",
@@ -337,6 +377,16 @@ class TestHugeUniverse:
         assert huge_text.replace(f" d={d} ", " d=? ") == text.replace(f" d={own_d} ", " d=? ")
         assert huge_report == {**report, "d": str(d)}
         assert "precision=" in text and "consistent" in text and "objective=" in text
+
+    @pytest.mark.parametrize("flags", [["--init", "greedy"], ["--method", "spectral"]])
+    def test_greedy_and_spectral_solve_in_a_universe_of_2_40_slots(
+        self, problem_path, tmp_path, flags
+    ):
+        out = tmp_path / "huge"
+        assert run(["solve", "--problem", problem_path, *flags, "--d", 2**40,
+                    "--out", out]) == cli.EXIT_OK
+        u = io.load_assignment(out / "assignment.json")
+        assert u.d == 2**40 and u.index == io.load_problem(problem_path).index
 
 
 class TestVerify:

@@ -529,3 +529,23 @@ def test_reversing_the_objects_reverses_the_solution(shape, seed):
     ):
         assert np.array_equal(u_rev.assignment, u.assignment[points])
         assert_same_objective(trace_rev.objectives[-1], trace.objectives[-1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(shape=TINY_SHAPES, seed=st.integers(0, 2**31 - 1))
+def test_reordering_the_points_reorders_the_solution(shape, seed):
+    """Permuting the points inside each object gives the same matching, point by point."""
+    w, a, d = tiny_problem(shape, seed)
+    index = w.index
+    u0 = random_init(index, d, seed)
+    rng = np.random.default_rng(seed)
+    local = [rng.permutation(n) for n in index.sizes]
+    points = np.concatenate([index.offsets[i] + p for i, p in enumerate(local)])
+    w_perm = SimilarityMatrix(w.data[np.ix_(points, points)], index)
+    a_perm = MultiAdjacency(tuple(b[np.ix_(p, p)] for b, p in zip(a.blocks, local)), index)
+    u0_perm = UniverseAssignment(u0.assignment[points], d=d, index=index)
+    for (u, trace), (u_perm, trace_perm) in zip(
+        solve_through_both(w, a, u0), solve_through_both(w_perm, a_perm, u0_perm)
+    ):
+        assert np.array_equal(u_perm.assignment, u.assignment[points])
+        assert_same_objective(trace_perm.objectives[-1], trace.objectives[-1])
