@@ -17,7 +17,7 @@ import numpy as np
 from hippi.baselines import pairwise_lap_matchings, spectral_sync, vote_similarity
 from hippi.kernels import KernelConfig, build_adjacency, build_similarity
 from hippi.metrics import fscore
-from hippi.solver import SolverConfig, WbarOperator, hippi_solve, universe_size
+from hippi.solver import SolverConfig, WbarOperator, hippi_solve
 from hippi.synth import twin_prototype_instance
 
 
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             )
             w = build_similarity(p, kcfg)
             a = build_adjacency(p, kcfg)
-            d = universe_size(p.index, "max-block")
+            d = max(p.sizes)
             votes = pairwise_lap_matchings(w)
             baseline = spectral_sync(votes, d)
             op = WbarOperator.from_kernels(vote_similarity(votes), a)

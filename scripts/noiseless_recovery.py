@@ -14,7 +14,7 @@ import numpy as np
 from hippi.baselines import random_init
 from hippi.kernels import KernelConfig, build_adjacency, build_similarity
 from hippi.metrics import fscore
-from hippi.solver import SolverConfig, WbarOperator, hippi_solve, universe_size
+from hippi.solver import SolverConfig, WbarOperator, hippi_solve
 from hippi.synth import GenConfig, generate
 
 
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         op = WbarOperator.from_kernels(
             build_similarity(p, kcfg), build_adjacency(p, kcfg)
         )
-        d = universe_size(p.index, "max-block")
+        d = max(p.sizes)
         u, _ = hippi_solve(op, random_init(p.index, d, seed=seed), scfg)
         score = fscore(u, p.ground_truth).fscore
         if score == 1.0:

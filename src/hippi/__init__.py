@@ -10,7 +10,6 @@ from hippi.baselines import (
 )
 from hippi.core import (
     OUTLIER,
-    PSD_TOL,
     BlockIndex,
     MultiAdjacency,
     PairwiseMatchingSet,
@@ -20,6 +19,7 @@ from hippi.core import (
     expand,
 )
 from hippi.kernels import (
+    PSD_TOL,
     DegenerateGeometryError,
     KernelConfig,
     PsdReport,

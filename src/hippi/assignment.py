@@ -129,9 +129,7 @@ def project_to_universe(
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] != index.m:
         raise ValueError(f"scores must be ({index.m}, width), got {v.shape}")
-    width, largest, d = v.shape[1], max(index.sizes), int(d)
-    if d < largest:
-        raise ValueError(f"universe size {d} is smaller than the largest object ({largest})")
+    width, largest, d = v.shape[1], max(index.sizes), index.universe(d)
     columns = np.asarray(columns)
     if (
         columns.shape != (width,)

@@ -98,10 +98,16 @@ def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     )
 
 
-def random_init(index: BlockIndex, d: int, seed=None) -> UniverseAssignment:
-    """Uniformly random injection of each object's points into ``d`` slots."""
+def random_init(index: BlockIndex, d: int, seed=0) -> UniverseAssignment:
+    """Uniformly random injection of each object's points into ``d`` slots.
+
+    Each object draws its ``m_i`` slots without replacement; numpy does that
+    in ``O(m_i)`` once ``d`` is at least ``50 m_i``, so the cost stops
+    growing with ``d``.
+    """
+    d = index.universe(d)
     rng = np.random.default_rng(seed)
-    cols = np.concatenate([rng.permutation(d)[:s] for s in index.sizes])
+    cols = np.concatenate([rng.choice(d, size=s, replace=False) for s in index.sizes])
     cols.setflags(write=False)
     return UniverseAssignment(assignment=cols, d=d, index=index)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -31,7 +30,6 @@ from hippi.core import ProblemInstance, as_integer, expand, integer_fields
 from hippi.kernels import WEIGHT_MODES, KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
-    UNIVERSE_RULES,
     SolverConfig,
     SolverTrace,
     WbarOperator,
@@ -41,8 +39,6 @@ from hippi.solver import (
     universe_size,
 )
 from hippi.synth import TRANSFORM_FAMILIES, GenConfig, generate
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,13 +66,11 @@ class RunConfig:
     method: str = "hippi"
     init: str = "random"
     d: int | None = None
-    universe_rule: str = "twice-average"
     seed: int = 0
     strict_psd: bool = False
     sizes: tuple[int, ...] = (500, 1000, 2000)
     points_per_object: int = 20
     bench_iters: int = 3
-    full_solve: bool = False
     kernel: KernelConfig = field(default_factory=KernelConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     generator: GenConfig | None = None
@@ -158,17 +152,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def _prepare_operator(cfg: RunConfig, p: ProblemInstance):
     w = build_similarity(p, cfg.kernel)
-    a = build_adjacency(p, cfg.kernel)
-    psd = assert_psd(a, repair=not cfg.strict_psd)
-    if not psd.ok:
-        if cfg.strict_psd:
-            raise ValueError(
-                "adjacency failed the PSD check in strict mode "
-                f"(min eigenvalue {float(np.min(psd.min_eigenvalues)):.3e})"
-            )
-        log.warning("adjacency repaired: negative eigenvalues clamped to zero")
-        a = psd.repaired
-    return w, a
+    return w, assert_psd(build_adjacency(p, cfg.kernel), strict=cfg.strict_psd).adjacency
 
 
 def _matching_file(load, path, index):
@@ -194,7 +178,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         if cfg.external is None:
             raise ValueError("method external-file needs --external")
         external = _matching_file(io.load_assignment, cfg.external, p.index)
-    d = universe_size(p.index, cfg.universe_rule, cfg.d) if external is None else external.d
+    d = universe_size(p.index, cfg.d) if external is None else external.d
     w, a = _prepare_operator(cfg, p)
     op = WbarOperator.from_kernels(w, a)
     started = time.perf_counter()
@@ -298,32 +282,30 @@ def bench_instance(m: int, points_per_object: int, seed) -> ProblemInstance:
 
 
 def bench_ladder(cfg: RunConfig) -> list[dict]:
-    """Time the per-iteration cost over the size ladder; optionally full solves."""
+    """Time the per-iteration cost over the size ladder, then a full solve per rung."""
     rows = []
     for idx, m in enumerate(cfg.sizes):
         p = bench_instance(m, cfg.points_per_object, cfg.seed + idx)
-        d = universe_size(p.index, cfg.universe_rule, cfg.d)
+        d = universe_size(p.index, cfg.d)
         w, a = _prepare_operator(cfg, p)
         op = WbarOperator.from_kernels(w, a)
-        steps = iterates(op, random_init(p.index, d, cfg.seed))
+        u0 = random_init(p.index, d, cfg.seed)
+        steps = iterates(op, u0)
         next(steps)  # warm-up
         tic = time.perf_counter()
         for _ in range(cfg.bench_iters):
             next(steps)
         per_iter = (time.perf_counter() - tic) / cfg.bench_iters
-        row = {
+        tic = time.perf_counter()
+        _, trace = hippi_solve(op, u0, cfg.solver)
+        rows.append({
             "m": m,
             "k": p.k,
             "d": d,
             "seconds_per_iteration": per_iter,
-        }
-        if cfg.full_solve:
-            u0 = random_init(p.index, d, cfg.seed)
-            tic = time.perf_counter()
-            _, trace = hippi_solve(op, u0, cfg.solver)
-            row["solve_seconds"] = time.perf_counter() - tic
-            row["iterations"] = trace.iterations
-        rows.append(row)
+            "solve_seconds": time.perf_counter() - tic,
+            "iterations": trace.iterations,
+        })
     return rows
 
 
@@ -393,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--method", choices=METHODS)
     slv.add_argument("--init", choices=INIT_METHODS)
     slv.add_argument("--d", type=int)
-    slv.add_argument("--universe-rule", dest="universe_rule", choices=UNIVERSE_RULES)
     slv.add_argument("--sigma", type=float)
     slv.add_argument("--mu", type=float)
     slv.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
@@ -415,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--d", type=int)
     ben.add_argument("--points-per-object", dest="points_per_object", type=int)
     ben.add_argument("--iters", dest="bench_iters", type=int)
-    ben.add_argument("--full", dest="full_solve", action="store_true", default=None,
-                     help="also time full solves")
 
     ver = sub.add_parser("verify", help="check cycle consistency of a matching")
     common(ver)

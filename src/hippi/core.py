@@ -25,9 +25,6 @@ import numpy as np
 #: Ground-truth label for points that correspond to no universe point.
 OUTLIER = -1
 
-#: Relative tolerance on the smallest eigenvalue of an adjacency block.
-PSD_TOL = 1e-8
-
 #: Tile side of the symmetry check, and rows per block of the finiteness check.
 SYMMETRY_TILE = 256
 
@@ -139,6 +136,19 @@ class BlockIndex:
 
     def slice_of(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
+
+    def universe(self, d) -> int:
+        """``d`` as an ``int``, rejected unless ``d`` slots can hold the largest object.
+
+        The one home of the universe-size rule: every type and function that
+        takes a ``d`` passes it through here.
+        """
+        d = as_integer(d, "universe size d")
+        if d < max(self.sizes):
+            raise ValueError(
+                f"universe size {d} is smaller than the largest object ({max(self.sizes)})"
+            )
+        return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,10 +316,9 @@ class SimilarityMatrix:
 class MultiAdjacency:
     """Block-diagonal geometric kernel ``A = diag(A_1, ..., A_k)``.
 
-    Each block is symmetric and expected to be positive semidefinite within
-    ``PSD_TOL`` (smallest eigenvalue >= -PSD_TOL * ||A_i||); that expectation
-    is diagnosed, not enforced here, so that `kernels.assert_psd` can inspect
-    and repair offending blocks.  The global matrix is never materialised.
+    Each block is symmetric and expected to be positive semidefinite; that
+    expectation is diagnosed, not enforced here: `kernels.assert_psd` owns
+    the PSD policy.  The global matrix is never materialised.
 
     Each run of consecutive equal-size blocks is stored as one read-only
     ``(count, size, size)`` stack, and ``blocks`` holds views into the stacks,
@@ -381,13 +390,8 @@ class UniverseAssignment:
 
     def __post_init__(self):
         a = _owned(self.assignment, np.int64)
-        d = as_integer(self.d, "universe size d")
         idx = self.index
-        if d < max(idx.sizes):
-            raise ValueError(
-                f"universe size {d} is smaller than the largest object ({max(idx.sizes)}); "
-                "no valid assignment exists"
-            )
+        d = idx.universe(self.d)
         if a.shape != (idx.m,):
             raise ValueError(f"assignment must have length {idx.m}, got {a.shape}")
         if a.size and (a.min() < 0 or a.max() >= d):

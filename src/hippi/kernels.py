@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from hippi.core import PSD_TOL, MultiAdjacency, ProblemInstance, SimilarityMatrix, integer_fields
+from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix, integer_fields
 
 log = logging.getLogger(__name__)
 
 WEIGHT_MODES = ("constant", "intra-ratio")
+
+#: Relative tolerance on the smallest eigenvalue of an adjacency block.
+PSD_TOL = 1e-8
 
 #: Rows of ``W`` per block in the in-place passes over it; a block's
 #: temporaries hold ``64 m`` floats.
@@ -151,24 +154,26 @@ def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdj
 
 @dataclass(frozen=True)
 class PsdReport:
-    """Per-block spectral diagnostics from :func:`assert_psd`."""
+    """Per-block spectral diagnostics from :func:`assert_psd`, and the adjacency to use."""
 
     min_eigenvalues: tuple[float, ...]
     flagged: tuple[int, ...]
-    repaired: MultiAdjacency | None = None
+    adjacency: MultiAdjacency
 
     @property
     def ok(self) -> bool:
         return not self.flagged
 
 
-def assert_psd(adjacency: MultiAdjacency, repair: bool = False) -> PsdReport:
-    """Check every adjacency block for positive semidefiniteness.
+def assert_psd(adjacency: MultiAdjacency, strict: bool = False) -> PsdReport:
+    """Check every adjacency block for positive semidefiniteness, and repair or reject.
 
     A block is flagged when its smallest eigenvalue drops below
-    ``-PSD_TOL * ||A_i||`` (spectral norm).  With ``repair=True`` the report
-    also carries a copy of the adjacency with negative eigenvalues clamped to
-    zero; the repair is logged, never silent.
+    ``-PSD_TOL * ||A_i||`` (spectral norm).  With ``strict`` a flagged block
+    is a ``ValueError`` naming the first such object and its smallest
+    eigenvalue.  Otherwise the report's ``adjacency`` is a copy with each
+    flagged block's negative eigenvalues clamped to zero, one warning per
+    block, never silent; with nothing flagged it is ``adjacency`` itself.
     """
     min_eigs, flagged = [], []
     for i, block in enumerate(adjacency.blocks):
@@ -177,21 +182,20 @@ def assert_psd(adjacency: MultiAdjacency, repair: bool = False) -> PsdReport:
         min_eigs.append(float(vals.min()))
         if vals.min() < -PSD_TOL * np.abs(vals).max():
             flagged.append(i)
-    repaired = None
-    if repair and flagged:
-        blocks = []
-        for i, block in enumerate(adjacency.blocks):
-            if i in flagged:
-                vals, vecs = np.linalg.eigh(block)
-                fixed = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-                fixed = (fixed + fixed.T) / 2.0
-                log.warning(
-                    "repaired adjacency block %d: clamped min eigenvalue %.3e to zero",
-                    i,
-                    vals.min(),
-                )
-                blocks.append(fixed)
-            else:
-                blocks.append(block)
-        repaired = MultiAdjacency(blocks=tuple(blocks), index=adjacency.index)
-    return PsdReport(min_eigenvalues=tuple(min_eigs), flagged=tuple(flagged), repaired=repaired)
+    if flagged and strict:
+        i = flagged[0]
+        raise ValueError(
+            f"object {i}: adjacency block is not positive semidefinite "
+            f"(smallest eigenvalue {min_eigs[i]:.3e})"
+        )
+    if flagged:
+        blocks = list(adjacency.blocks)
+        for i in flagged:
+            vals, vecs = np.linalg.eigh(blocks[i])
+            fixed = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+            blocks[i] = (fixed + fixed.T) / 2.0
+            log.warning(
+                "repaired adjacency block %d: clamped min eigenvalue %.3e to zero", i, vals.min()
+            )
+        adjacency = MultiAdjacency(blocks=tuple(blocks), index=adjacency.index)
+    return PsdReport(min_eigenvalues=tuple(min_eigs), flagged=tuple(flagged), adjacency=adjacency)

@@ -45,8 +45,6 @@ from hippi.core import (
     integer_fields,
 )
 
-UNIVERSE_RULES = ("twice-average", "max-block")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -200,24 +198,12 @@ def hippi_solve(
     return u, SolverTrace(objectives=np.asarray(objectives), converged=converged)
 
 
-def universe_size(
-    index: BlockIndex, rule: str = "twice-average", explicit: int | None = None
-) -> int:
-    """Pick the number of universe slots ``d>= max_i m_i`` for a problem.
+def universe_size(index: BlockIndex, d: int | None = None) -> int:
+    """The number of universe slots for a problem, checked by :meth:`BlockIndex.universe`.
 
-    ``explicit`` overrides the rule; "twice-average" rounds up twice the mean
-    object size (clamped to the largest object), "max-block" uses the largest
-    object size exactly.
+    ``d`` if given, else twice the mean object size rounded up, at least the
+    largest object.
     """
-    largest = max(index.sizes)
-    if explicit is not None:
-        if explicit < largest:
-            raise ValueError(
-                f"universe size {explicit} is smaller than the largest object ({largest})"
-            )
-        return int(explicit)
-    if rule == "twice-average":
-        return max(int(np.ceil(2.0 * float(np.mean(index.sizes)))), largest)
-    if rule == "max-block":
-        return largest
-    raise ValueError(f"rule must be one of {UNIVERSE_RULES}")
+    if d is None:
+        d = max(-(-2 * index.m // index.k), max(index.sizes))
+    return index.universe(d)

@@ -152,7 +152,7 @@ def twin_prototype_instance(
     feature_noise_sigma: float = 0.5,
     outlier_fraction: float = 0.3,
     feature_dim: int = 8,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> ProblemInstance:
     """Sample an instance whose feature prototypes come in near-duplicate pairs.
 

@@ -167,6 +167,20 @@ def test_random_init_is_deterministic_and_valid():
     assert random_init(index, 6, seed=43).assignment.tolist() != a.assignment.tolist()
 
 
+def test_unseeded_random_init_is_seed_zero():
+    index = BlockIndex(sizes=(3, 5, 2))
+    assert random_init(index, 6) == random_init(index, 6) == random_init(index, 6, seed=0)
+
+
+def test_random_init_draws_distinct_slots_in_a_universe_of_2_40_slots():
+    index = BlockIndex(sizes=(20, 7, 20))
+    u = random_init(index, 2**40, seed=0)
+    for i in range(index.k):
+        block = u.block(i)
+        assert np.unique(block).size == block.size
+        assert block.min() >= 0 and block.max() < 2**40
+
+
 def test_random_init_square_case_is_a_permutation():
     index = BlockIndex(sizes=(4,))
     u = random_init(index, 4, seed=0)

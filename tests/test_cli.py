@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from hippi import cli, io, metrics
-from hippi.core import UniverseAssignment, expand
+from hippi.core import ProblemInstance, UniverseAssignment, expand
 from hippi.kernels import WEIGHT_MODES
-from hippi.solver import UNIVERSE_RULES
 from hippi.synth import TRANSFORM_FAMILIES
 
 from helpers import random_assignment
@@ -222,6 +221,47 @@ class TestSolve:
         assert run(["solve", "--problem", problem_path, "--out", tmp_path / "s",
                     "--seed", "1", "--strict-psd"]) == cli.EXIT_OK
 
+    @pytest.fixture
+    def star_path(self, tmp_path):
+        """Two 5-point objects whose distances are a star graph's path lengths.
+
+        The centre is 1 from each leaf and the leaves are 2 apart, so at
+        ``mu`` = 1 each Gaussian block has smallest eigenvalue -2.7e-2.
+        """
+        dist = np.full((5, 5), 2.0)
+        dist[0, 1:] = dist[1:, 0] = 1.0
+        np.fill_diagonal(dist, 0.0)
+        angles = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
+        points = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
+        features = np.random.default_rng(0).normal(size=(5, 3))
+        path = tmp_path / "star.json"
+        io.save_problem(
+            ProblemInstance(points=(points, points), features=(features, features),
+                            distances=(dist, dist)),
+            path,
+        )
+        return path
+
+    def test_strict_psd_rejects_a_geodesic_star_naming_its_object(
+        self, star_path, tmp_path, capsys
+    ):
+        assert run(["solve", "--problem", star_path, "--out", tmp_path / "s",
+                    "--mu", "1", "--strict-psd"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.search(r"object 0: adjacency block is not positive semidefinite "
+                         r"\(smallest eigenvalue -2\.69\de-02\)", err)
+        assert not (tmp_path / "s").exists()
+
+    def test_plain_solve_repairs_each_block_of_a_geodesic_star_once(
+        self, star_path, tmp_path, caplog
+    ):
+        with caplog.at_level("WARNING", logger="hippi.kernels"):
+            assert run(["solve", "--problem", star_path, "--out", tmp_path / "s",
+                        "--mu", "1"]) == cli.EXIT_OK
+        repairs = [r.getMessage() for r in caplog.records]
+        assert len(repairs) == 2 and all("repaired adjacency block" in r for r in repairs)
+        assert "block 0" in repairs[0] and "block 1" in repairs[1]
+
     @pytest.mark.parametrize("field,value", [
         ("features", float("nan")),
         ("points", float("inf")),
@@ -249,6 +289,19 @@ class TestSolve:
             assert run(["solve", "--problem", problem_path, "--config", cfg,
                         "--out", tmp_path / "x"]) == cli.EXIT_DATA
             assert "bad SolverConfig settings" in capsys.readouterr().err
+
+    def test_removed_universe_rule_and_full_solve_are_rejected(
+        self, problem_path, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        for key, value in (("universe_rule", "max-block"), ("full_solve", True)):
+            cfg.write_text(json.dumps({"run": {key: value}}))
+            assert run(["solve", "--problem", problem_path, "--config", cfg,
+                        "--out", tmp_path / "x"]) == cli.EXIT_DATA
+            assert key in capsys.readouterr().err
+        assert run(["solve", "--problem", problem_path, "--universe-rule", "max-block",
+                    "--out", tmp_path / "x"]) == cli.EXIT_USAGE
+        assert run(["bench", "--full", "--out", tmp_path / "x"]) == cli.EXIT_USAGE
 
 
 class TestEval:
@@ -388,6 +441,13 @@ class TestHugeUniverse:
         u = io.load_assignment(out / "assignment.json")
         assert u.d == 2**40 and u.index == io.load_problem(problem_path).index
 
+    def test_random_start_solves_in_a_universe_of_2_40_slots(self, problem_path, tmp_path):
+        out = tmp_path / "huge"
+        assert run(["solve", "--problem", problem_path, "--init", "random", "--d", 2**40,
+                    "--seed", "0", "--out", out]) == cli.EXIT_OK
+        u = io.load_assignment(out / "assignment.json")
+        assert u.d == 2**40 and u.index == io.load_problem(problem_path).index
+
 
 class TestVerify:
     def test_consistent_assignment_exits_zero(self, problem_path, tmp_path, capsys):
@@ -460,11 +520,12 @@ class TestBench:
 
     def test_full_solve_column(self, tmp_path):
         out = tmp_path / "bench"
-        code = run(["bench", "--sizes", "40", "--points-per-object", "4",
-                    "--d", "6", "--iters", "1", "--seed", "0", "--full", "--out", out])
+        code = run(["bench", "--sizes", "40,80", "--points-per-object", "4",
+                    "--d", "6", "--iters", "1", "--seed", "0", "--out", out])
         assert code == cli.EXIT_OK
-        header = (out / "bench.csv").read_text().splitlines()[0]
-        assert "solve_seconds" in header and "iterations" in header
+        header, *rows = (out / "bench.csv").read_text().splitlines()
+        assert header.split(",")[-2:] == ["solve_seconds", "iterations"]
+        assert len(rows) == 2 and all(int(row.split(",")[-1]) >= 1 for row in rows)
 
     def test_indivisible_sizes_are_data_errors(self, tmp_path):
         assert run(["bench", "--sizes", "41", "--points-per-object", "4",
@@ -546,8 +607,6 @@ MERGE_CASES = [
     ("solve", ["--knn", "5"], "kernel", "knn_sparsify", 3, 5),
     ("solve", ["--max-iters", "9"], "solver", "max_iters", 50, 9),
     ("solve", ["--d", "30"], "run", "d", 25, 30),
-    ("solve", ["--universe-rule", "max-block"], "run", "universe_rule", "twice-average",
-     "max-block"),
     ("solve", ["--method", "greedy"], "run", "method", "spectral", "greedy"),
     ("solve", ["--init", "greedy"], "run", "init", "random", "greedy"),
     ("solve", ["--strict-psd"], "run", "strict_psd", False, True),
@@ -555,7 +614,6 @@ MERGE_CASES = [
     ("bench", ["--sizes", "40,80"], "run", "sizes", [20], (40, 80)),
     ("bench", ["--points-per-object", "4"], "run", "points_per_object", 5, 4),
     ("bench", ["--iters", "2"], "run", "bench_iters", 7, 2),
-    ("bench", ["--full"], "run", "full_solve", False, True),
 ]
 
 
@@ -563,7 +621,7 @@ MERGE_CASES = [
     "command, dest, owner",
     [
         ("generate", "transform_family", TRANSFORM_FAMILIES),
-        ("solve", "universe_rule", UNIVERSE_RULES),
+        ("solve", "init", cli.INIT_METHODS),
         ("solve", "weight_mode", WEIGHT_MODES),
     ],
 )
@@ -602,7 +660,6 @@ def test_flag_overrides_the_config_field_of_the_same_name(
 
 @pytest.mark.parametrize("argv, name", [
     (["solve", "--problem", "p.json"], "strict_psd"),
-    (["bench"], "full_solve"),
 ])
 def test_absent_switch_keeps_the_config_file_value(tmp_path, argv, name):
     cfg = tmp_path / "cfg.json"

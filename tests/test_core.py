@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hippi.assignment import project_to_universe
+from hippi.baselines import random_init
 from hippi.core import (
     BlockIndex,
     MultiAdjacency,
@@ -12,6 +14,7 @@ from hippi.core import (
     UniverseAssignment,
     expand,
 )
+from hippi.solver import universe_size
 
 from helpers import (
     block_dense,
@@ -30,6 +33,28 @@ def assignments(draw, max_k=4, max_size=5, max_extra=3):
     d = max(sizes) + draw(st.integers(0, max_extra))
     seed = draw(st.integers(0, 2**31 - 1))
     return random_assignment(np.random.default_rng(seed), sizes, d)
+
+
+#: Every taker of a universe size ``d``, called on objects of 2 and 3 points.
+UNIVERSE_TAKERS = {
+    "universe_size": lambda index, d: universe_size(index, d),
+    "project_to_universe": lambda index, d: project_to_universe(
+        np.ones((5, 3)), index, columns=np.arange(3), d=d
+    ),
+    # One entry only: the universe is checked before the length.
+    "UniverseAssignment": lambda index, d: UniverseAssignment(np.zeros(1), d=d, index=index),
+    "random_init": lambda index, d: random_init(index, d, seed=0),
+}
+
+
+@pytest.mark.parametrize("taker", list(UNIVERSE_TAKERS))
+@pytest.mark.parametrize("d, message", [
+    (2, r"^universe size 2 is smaller than the largest object \(3\)$"),
+    (2.5, r"^universe size d must be an integer, got 2\.5$"),
+], ids=["below-largest", "fractional"])
+def test_every_universe_check_is_the_block_index_rule(taker, d, message):
+    with pytest.raises(ValueError, match=message):
+        UNIVERSE_TAKERS[taker](BlockIndex((2, 3)), d)
 
 
 class TestBlockIndex:

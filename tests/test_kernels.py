@@ -299,9 +299,21 @@ class TestAssertPsd:
             blocks=(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(3)),
             index=BlockIndex((2, 3)),
         )
-        report = assert_psd(a, repair=True)
-        assert report.repaired is not None
-        fixed = assert_psd(report.repaired)
+        report = assert_psd(a)
+        assert report.flagged == (0,)
+        fixed = assert_psd(report.adjacency)
         assert fixed.ok
         # untouched block is carried over unchanged
-        assert np.array_equal(report.repaired.blocks[1], np.eye(3))
+        assert np.array_equal(report.adjacency.blocks[1], np.eye(3))
+
+    def test_clean_adjacency_is_handed_back_as_is(self):
+        a = build_adjacency(make_instance(np.random.default_rng(3)), KernelConfig())
+        assert assert_psd(a).adjacency is a
+        assert assert_psd(a, strict=True).adjacency is a
+
+    def test_strict_names_the_first_flagged_object(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        a = MultiAdjacency(blocks=(np.eye(2), indefinite, indefinite), index=BlockIndex((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"^object 1: adjacency block is not positive "
+                           r"semidefinite \(smallest eigenvalue -1\.000e\+00\)$"):
+            assert_psd(a, strict=True)

@@ -431,12 +431,11 @@ def test_solver_rejects_mismatched_index():
 def test_universe_size_rules():
     index = BlockIndex(sizes=(3, 5, 4))
     assert universe_size(index) == 8  # ceil(2 * 4)
-    assert universe_size(index, rule="max-block") == 5
-    assert universe_size(index, explicit=6) == 6
+    assert universe_size(index, 5) == 5
+    assert universe_size(index, d=6.0) == 6
     with pytest.raises(ValueError):
-        universe_size(index, explicit=4)
-    with pytest.raises(ValueError):
-        universe_size(index, rule="thrice-average")
+        universe_size(index, 4)
+    assert universe_size(BlockIndex(sizes=(2, 3))) == 5  # ceil(2 * 2.5)
 
 
 def test_universe_size_twice_average_clamps_to_largest_object():

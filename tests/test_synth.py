@@ -221,6 +221,10 @@ def test_index_property_survives_generation():
     assert p.index.sizes == (4, 4)
 
 
+def test_unseeded_twin_instance_is_seed_zero():
+    assert twin_prototype_instance(3, 6) == twin_prototype_instance(3, 6, seed=0)
+
+
 def test_twin_instance_same_seed_same_instance():
     a = twin_prototype_instance(3, 6, seed=11)
     b = twin_prototype_instance(3, 6, seed=11)
