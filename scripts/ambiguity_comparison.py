@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from hippi.baselines import pairwise_lap_matchings, spectral_sync, vote_similarity
-from hippi.kernels import KernelConfig, build_adjacency, build_similarity
+from hippi.kernels import KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore
 from hippi.solver import SolverConfig, WbarOperator, hippi_solve
 from hippi.synth import twin_prototype_instance
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
                 seed=seed,
             )
             w = build_similarity(p, kcfg)
-            a = build_adjacency(p, kcfg)
+            a = assert_psd(build_adjacency(p, kcfg)).adjacency
             d = max(p.sizes)
             votes = pairwise_lap_matchings(w)
             baseline = spectral_sync(votes, d)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from hippi.baselines import random_init
-from hippi.kernels import KernelConfig, build_adjacency, build_similarity
+from hippi.kernels import KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore
 from hippi.solver import SolverConfig, WbarOperator, hippi_solve
 from hippi.synth import GenConfig, generate
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         )
         p = generate(cfg)
         op = WbarOperator.from_kernels(
-            build_similarity(p, kcfg), build_adjacency(p, kcfg)
+            build_similarity(p, kcfg), assert_psd(build_adjacency(p, kcfg)).adjacency
         )
         d = max(p.sizes)
         u, _ = hippi_solve(op, random_init(p.index, d, seed=seed), scfg)

@@ -38,13 +38,15 @@ def pairwise_lap_matchings(w: SimilarityMatrix) -> PairwiseMatchingSet:
     sizes = idx.sizes
     targets = np.full((idx.m, idx.k), -1, dtype=np.int64)
     targets[np.arange(idx.m), idx.owner] = idx.local
-    for i in range(idx.k):
-        for j in range(i + 1, idx.k):
+    for j in range(1, idx.k):
+        # Each of object j's points alone in a slot: W U copies its columns of W exactly.
+        cols = w.gather(np.arange(idx.offsets[j], idx.offsets[j + 1]), np.arange(sizes[j]))
+        for i in range(j):
             # Solve from the smaller object ``a``; its map back is one scatter.
             if sizes[i] <= sizes[j]:
-                a, b, mp = i, j, lap_exact(w.block(i, j))
+                a, b, mp = i, j, lap_exact(cols[idx.slice_of(i)])
             else:
-                a, b, mp = j, i, lap_exact(w.block(i, j).T)
+                a, b, mp = j, i, lap_exact(cols[idx.slice_of(i)].T)
             targets[idx.slice_of(a), b] = mp
             targets[idx.offsets[b] + mp, a] = np.arange(sizes[a])
     return PairwiseMatchingSet(targets=targets, index=idx)
@@ -122,7 +124,8 @@ def greedy_init(w: SimilarityMatrix, d: int) -> UniverseAssignment:
     idx = w.index
     anchor = int(np.argmax(idx.sizes))
     rows, n = idx.slice_of(anchor), idx.sizes[anchor]
-    scores = w.data[:, rows].copy()
+    # Each anchor point alone in a slot: W U copies the anchor's columns of W exactly.
+    scores = w.gather(np.arange(idx.offsets[anchor], idx.offsets[anchor + 1]), np.arange(n))
     scores[rows] = np.eye(n)
     return project_to_universe(scores, idx, columns=np.arange(n), d=d)
 

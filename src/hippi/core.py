@@ -211,7 +211,7 @@ class ProblemInstance:
                 if dm.shape != (n, n):
                     raise ValueError(f"object {i}: distance matrix must be ({n}, {n})")
                 _require_finite(dm, f"object {i}: distances")
-                if not np.array_equal(dm, dm.T) or dm.min() < 0:
+                if not _exactly_symmetric(dm) or dm.min() < 0:
                     raise ValueError(f"object {i}: distances must be symmetric and non-negative")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "features", features)
@@ -258,7 +258,7 @@ class SimilarityMatrix:
     """Dense ``m x m`` matrix of finite, non-negative cross-object similarity scores.
 
     Exactly symmetric by storage, with zero diagonal blocks (no intra-object
-    similarities).
+    similarities).  Outside this type the library reads ``W`` by ``gather`` and ``@`` only.
     """
 
     data: np.ndarray
@@ -288,9 +288,6 @@ class SimilarityMatrix:
     @property
     def m(self) -> int:
         return self.index.m
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.data[self.index.slice_of(i), self.index.slice_of(j)]
 
     def gather(self, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """``W @ U`` on the occupied slots; ``order`` and ``starts`` are from ``slot_runs``.
@@ -339,7 +336,7 @@ class MultiAdjacency:
             b = np.asarray(b, dtype=np.float64)
             if b.shape != (s, s):
                 raise ValueError(f"block {i} must be ({s}, {s}), got {b.shape}")
-            if not np.array_equal(b, b.T):
+            if not _exactly_symmetric(b):
                 raise ValueError(f"block {i} must be exactly symmetric")
             blocks.append(b)
         runs, views, first = [], [], 0

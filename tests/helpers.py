@@ -71,6 +71,11 @@ def match_count(x: PairwiseMatchingSet) -> int:
     )
 
 
+def block(w: SimilarityMatrix, i: int, j: int) -> np.ndarray:
+    """The ``m_i x m_j`` block ``(i, j)`` of a ``SimilarityMatrix``, sliced from its storage."""
+    return w.data[w.index.slice_of(i), w.index.slice_of(j)]
+
+
 class PlainSimilarity:
     """A symmetric ``W`` for ``WbarOperator`` without :class:`SimilarityMatrix`'s checks.
 

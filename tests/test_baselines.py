@@ -19,11 +19,14 @@ from hippi.core import (
 )
 
 from helpers import (
+    PlainSimilarity,
+    block,
     block_dense,
     brute_force_lap,
     integer_similarity,
     pack_maps,
     random_assignment,
+    uniform_similarity,
     unpack_maps,
 )
 
@@ -96,10 +99,10 @@ def test_pairwise_blocks_attain_brute_force_optimum(seed):
     for i in range(index.k):
         assert np.array_equal(block_dense(x, i, i), np.eye(sizes[i]))
         for j in range(i + 1, index.k):
-            block = block_dense(x, i, j)
-            assert int(block.sum()) == min(sizes[i], sizes[j])
-            got = float((block * sim.block(i, j)).sum())
-            wide = sim.block(i, j) if sizes[i] <= sizes[j] else sim.block(i, j).T
+            x_ij = block_dense(x, i, j)
+            assert int(x_ij.sum()) == min(sizes[i], sizes[j])
+            got = float((x_ij * block(sim, i, j)).sum())
+            wide = block(sim, i, j) if sizes[i] <= sizes[j] else block(sim, i, j).T
             best, _ = brute_force_lap(wide)
             assert got == pytest.approx(best, rel=1e-12)
 
@@ -205,6 +208,23 @@ def test_greedy_init_matches_obvious_similarity():
     assert u.block(0).tolist() == [0, 2]
 
 
+@pytest.mark.parametrize(
+    "method",
+    [
+        lambda w: greedy_init(w, d=12),
+        pairwise_lap_matchings,
+        lambda w: spectral_sync(pairwise_lap_matchings(w), d=12),
+    ],
+    ids=["greedy", "pairwise", "spectral"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_baselines_read_w_only_through_its_operator(method, seed):
+    """Any ``W`` with ``index``, ``gather`` and ``@`` gives what ``SimilarityMatrix`` gives."""
+    index = BlockIndex(sizes=(4, 7, 1, 7, 5))
+    w = uniform_similarity(np.random.default_rng(seed), index)
+    assert method(PlainSimilarity(w.data, index)) == method(w)
+
+
 def test_greedy_init_rejects_small_universe():
     w = two_object_similarity(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="universe size"):
@@ -225,7 +245,7 @@ def test_vote_similarity_is_binary_symmetric_zero_diagonal():
     assert isinstance(votes, SimilarityMatrix)
     assert set(np.unique(votes.data)) <= {0.0, 1.0}
     for i in range(3):
-        assert not votes.block(i, i).any()
+        assert not block(votes, i, i).any()
 
 
 def test_vote_similarity_entries_equal_matched_pairs():
@@ -236,8 +256,8 @@ def test_vote_similarity_entries_equal_matched_pairs():
     pairs = set(x.matched_pairs())
     assert votes.data.sum() == 2 * len(pairs)  # each vote mirrored once
     for i, p, j, q in pairs:
-        assert votes.block(i, j)[p, q] == 1.0
-        assert votes.block(j, i)[q, p] == 1.0
+        assert block(votes, i, j)[p, q] == 1.0
+        assert block(votes, j, i)[q, p] == 1.0
 
 
 def test_vote_similarity_feeds_the_solver_operator():

@@ -14,7 +14,7 @@ from hippi.kernels import (
     build_similarity,
 )
 
-from helpers import dense_sparsify_topk, pairwise_similarity
+from helpers import block, dense_sparsify_topk, pairwise_similarity
 
 
 def make_instance(rng, k=3, size=5, dim=2, fdim=4):
@@ -46,7 +46,7 @@ class TestBuildSimilarity:
             features=(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])),
         )
         w = build_similarity(inst, KernelConfig(sigma=1.0))
-        assert w.block(0, 1)[0, 0] == pytest.approx(1.0)
+        assert block(w, 0, 1)[0, 0] == pytest.approx(1.0)
 
     def test_distance_sigma_sqrt2_gives_exp_minus_one(self):
         sigma = 0.7
@@ -55,7 +55,7 @@ class TestBuildSimilarity:
             features=(np.array([[0.0]]), np.array([[sigma * np.sqrt(2.0)]])),
         )
         w = build_similarity(inst, KernelConfig(sigma=sigma))
-        assert w.block(0, 1)[0, 0] == pytest.approx(np.exp(-1.0))
+        assert block(w, 0, 1)[0, 0] == pytest.approx(np.exp(-1.0))
 
     def test_matches_scalar_oracle(self):
         inst = make_instance(np.random.default_rng(0))
@@ -86,7 +86,7 @@ class TestBuildSimilarity:
         )
         w = build_similarity(inst, KernelConfig(sigma=1.0))
         ws = build_similarity(shuffled, KernelConfig(sigma=1.0))
-        np.testing.assert_allclose(ws.block(0, 1), w.block(0, 1)[perm], atol=1e-15)
+        np.testing.assert_allclose(block(ws, 0, 1), block(w, 0, 1)[perm], atol=1e-15)
 
     def test_intra_ratio_downweights_ambiguous_descriptors(self):
         # object 0 has two nearly identical descriptors; both cross scores drop
@@ -98,10 +98,10 @@ class TestBuildSimilarity:
         )
         plain = build_similarity(inst, KernelConfig(sigma=2.0))
         weighted = build_similarity(inst, KernelConfig(sigma=2.0, weight_mode="intra-ratio"))
-        assert weighted.block(0, 1)[0, 0] < 0.1 * plain.block(0, 1)[0, 0]
-        assert weighted.block(0, 1)[1, 0] < 0.1 * plain.block(0, 1)[1, 0]
+        assert block(weighted, 0, 1)[0, 0] < 0.1 * block(plain, 0, 1)[0, 0]
+        assert block(weighted, 0, 1)[1, 0] < 0.1 * block(plain, 0, 1)[1, 0]
         # the isolated descriptor keeps (almost) full weight
-        assert weighted.block(0, 1)[2, 0] > 0.99 * plain.block(0, 1)[2, 0]
+        assert block(weighted, 0, 1)[2, 0] > 0.99 * block(plain, 0, 1)[2, 0]
 
     def test_knn_sparsify_keeps_symmetry_and_top_entries(self):
         inst = make_instance(np.random.default_rng(2), k=3, size=4)
