@@ -56,7 +56,7 @@ def main(argv=None) -> int:
             d = max(p.sizes)
             votes = pairwise_lap_matchings(w)
             baseline = spectral_sync(votes, d)
-            op = WbarOperator.from_kernels(vote_similarity(votes), a)
+            op = WbarOperator(vote_similarity(votes), a)
             refined, _ = hippi_solve(op, baseline, scfg)
             spectral_scores.append(fscore(baseline, p.ground_truth).fscore)
             refined_scores.append(fscore(refined, p.ground_truth).fscore)

@@ -47,7 +47,7 @@ def main(argv=None) -> int:
             seed=seed,
         )
         p = generate(cfg)
-        op = WbarOperator.from_kernels(
+        op = WbarOperator(
             build_similarity(p, kcfg), assert_psd(build_adjacency(p, kcfg)).adjacency
         )
         d = max(p.sizes)

@@ -150,9 +150,10 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _prepare_operator(cfg: RunConfig, p: ProblemInstance):
+def _prepare_operator(cfg: RunConfig, p: ProblemInstance) -> WbarOperator:
     w = build_similarity(p, cfg.kernel)
-    return w, assert_psd(build_adjacency(p, cfg.kernel), strict=cfg.strict_psd).adjacency
+    a = assert_psd(build_adjacency(p, cfg.kernel), strict=cfg.strict_psd).adjacency
+    return WbarOperator(w, a)
 
 
 def _matching_file(load, path, index):
@@ -179,13 +180,12 @@ def cmd_solve(cfg: RunConfig) -> int:
             raise ValueError("method external-file needs --external")
         external = _matching_file(io.load_assignment, cfg.external, p.index)
     d = universe_size(p.index, cfg.d) if external is None else external.d
-    w, a = _prepare_operator(cfg, p)
-    op = WbarOperator.from_kernels(w, a)
+    op = _prepare_operator(cfg, p)
     started = time.perf_counter()
     if cfg.method == "hippi":
-        u, trace = hippi_solve(op, _start_assignment(cfg.init, cfg, w, d), cfg.solver)
+        u, trace = hippi_solve(op, _start_assignment(cfg.init, cfg, op.similarity, d), cfg.solver)
     else:
-        u = _start_assignment(cfg.method, cfg, w, d) if external is None else external
+        u = _start_assignment(cfg.method, cfg, op.similarity, d) if external is None else external
         trace = SolverTrace(objectives=np.array([objective(op, u)]), converged=True)
     runtime = time.perf_counter() - started
     out = _out_dir(cfg)
@@ -196,7 +196,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"converged={trace.converged} objective={float(trace.objectives[-1])!r}"
     )
     if p.ground_truth is not None:
-        report = fscore(u, p.ground_truth, runtime_seconds=runtime)
+        report = fscore(u, p.ground_truth)
         io.save_report(
             report,
             out / "report.csv",
@@ -205,6 +205,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             d=u.d,
             iterations=trace.iterations,
             converged=trace.converged,
+            runtime_seconds=runtime,
         )
         summary += f" fscore={report.fscore:.4f}"
     print(summary)
@@ -216,7 +217,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     p = io.load_problem(cfg.problem)
     if p.ground_truth is None:
         raise ValueError("problem file has no ground truth to evaluate against")
-    started = time.perf_counter()
     if cfg.pairwise is not None:
         predicted = _matching_file(io.load_pairwise, cfg.pairwise, p.index)
         d = 0  # not defined for a raw pairwise set
@@ -225,9 +225,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         d = predicted.d
     else:
         raise ValueError("eval needs --assignment or --pairwise")
-    report = fscore(
-        predicted, p.ground_truth, runtime_seconds=time.perf_counter() - started
-    )
+    started = time.perf_counter()
+    report = fscore(predicted, p.ground_truth)
+    runtime = time.perf_counter() - started
     out = _out_dir(cfg)
     io.save_report(
         report,
@@ -237,6 +237,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         d=d,
         iterations=0,
         converged=True,
+        runtime_seconds=runtime,
     )
     print(
         f"precision={report.precision:.4f} recall={report.recall:.4f} "
@@ -287,8 +288,7 @@ def bench_ladder(cfg: RunConfig) -> list[dict]:
     for idx, m in enumerate(cfg.sizes):
         p = bench_instance(m, cfg.points_per_object, cfg.seed + idx)
         d = universe_size(p.index, cfg.d)
-        w, a = _prepare_operator(cfg, p)
-        op = WbarOperator.from_kernels(w, a)
+        op = _prepare_operator(cfg, p)
         u0 = random_init(p.index, d, cfg.seed)
         steps = iterates(op, u0)
         next(steps)  # warm-up

@@ -181,26 +181,26 @@ class ProblemInstance:
                 raise ValueError(f"object {i}: points must be a nonempty (m_i, dim) array")
             if p.shape[1] not in (2, 3):
                 raise ValueError(f"object {i}: ambient dimension must be 2 or 3, got {p.shape[1]}")
+            if p.shape[1] != points[0].shape[1]:
+                raise ValueError(f"object {i}: ambient dimension {p.shape[1]} is not object 0's")
             _require_finite(p, f"object {i}: points")
-        dim = points[0].shape[1]
-        if any(p.shape[1] != dim for p in points):
-            raise ValueError("all objects must share the same ambient dimension")
-        fdim = features[0].shape[1] if features[0].ndim == 2 else -1
         for i, (p, f) in enumerate(zip(points, features)):
             if f.ndim != 2 or f.shape[0] != p.shape[0]:
                 raise ValueError(f"object {i}: features must be (m_i, f) with m_i={p.shape[0]}")
-            if f.shape[1] != fdim:
-                raise ValueError("feature dimensionality must be identical across objects")
+            if f.shape[1] != features[0].shape[1]:
+                raise ValueError(f"object {i}: feature dimension {f.shape[1]} is not object 0's")
             _require_finite(f, f"object {i}: features")
         gt = self.ground_truth
         if gt is not None:
             gt = tuple(_owned(g, np.int64) for g in gt)
-            if len(gt) != len(points) or any(
-                g.shape != (p.shape[0],) for g, p in zip(gt, points)
-            ):
-                raise ValueError("ground truth must label every point of every object")
-            if any(g.min() < OUTLIER for g in gt):
-                raise ValueError(f"ground-truth labels must be >= {OUTLIER}")
+            if len(gt) != len(points):
+                raise ValueError(f"ground truth labels {len(gt)} objects, not {len(points)}")
+            for i, (g, p) in enumerate(zip(gt, points)):
+                if g.shape != (len(p),):
+                    raise ValueError(f"object {i}: {g.size} ground-truth labels, {len(p)} points")
+                r = int(np.argmax(g < OUTLIER))
+                if g[r] < OUTLIER:
+                    raise ValueError(f"object {i} row {r}: ground-truth label {g[r]} < {OUTLIER}")
         dist = self.distances
         if dist is not None:
             dist = tuple(_owned(dm, np.float64) for dm in dist)

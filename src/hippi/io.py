@@ -3,8 +3,8 @@
 All JSON is written with sorted keys and a fixed layout so that identical
 inputs produce byte-identical files; floats go through Python's shortest
 round-trip repr.  Trace CSVs carry only iteration numbers and objective
-values — wall-clock times stay out of them on purpose, so reruns of the same
-seeded configuration diff clean.
+values, so reruns of the same seeded configuration diff clean; the one wall
+time on file is a report's ``runtime_seconds``, which the caller measures.
 
 Every integer field is read by one reader that names the first bad entry.
 A pairwise file's matches are checked as whole arrays; the first bad one in
@@ -87,6 +87,19 @@ def _integers(values, row_name) -> np.ndarray:
         raise ValueError(f"{row_name(r)} {ints[r]} does not fit in 64 bits") from None
 
 
+def _tables(objects, path, name: str) -> tuple[np.ndarray, ...]:
+    """One ``float64`` table per object; a ragged one is rejected naming its first odd row."""
+    tables = []
+    for i, rows in enumerate(objects):
+        try:
+            tables.append(np.asarray(rows, dtype=np.float64))
+        except ValueError as exc:
+            odd = [length_hint(row, -1) != length_hint(rows[0], -1) for row in rows]
+            why = f"row {odd.index(True)} is not as long as row 0" if any(odd) else exc
+            raise ValueError(f"{path}: object {i}: {name}: {why}") from None
+    return tuple(tables)
+
+
 def save_problem(p: ProblemInstance, path) -> None:
     document = {
         "format": PROBLEM_FORMAT,
@@ -109,8 +122,8 @@ def load_problem(path) -> ProblemInstance:
     doc = _load(path, PROBLEM_FORMAT)
     try:
         index = BlockIndex(sizes=tuple(doc["sizes"]))
-        points = tuple(np.asarray(pts, dtype=np.float64) for pts in doc["points"])
-        features = tuple(np.asarray(f, dtype=np.float64) for f in doc["features"])
+        points = _tables(doc["points"], path, "points")
+        features = _tables(doc["features"], path, "features")
         gt = doc.get("ground_truth")
         if gt is not None:
             gt = tuple(
@@ -122,7 +135,7 @@ def load_problem(path) -> ProblemInstance:
             points=points,
             features=features,
             ground_truth=gt,
-            distances=None if dist is None else tuple(np.asarray(x) for x in dist),
+            distances=None if dist is None else _tables(dist, path, "distances"),
             seed=doc.get("seed"),
         )
     except (KeyError, TypeError) as exc:
@@ -246,9 +259,10 @@ def save_report(
     d: int,
     iterations: int,
     converged: bool,
+    runtime_seconds: float,
 ) -> None:
     row = dict(method=method, k=index.k, m=index.m, d=d, iterations=iterations,
-               converged=converged)
+               converged=converged, runtime_seconds=runtime_seconds)
     row.update((c, getattr(report, c)) for c in REPORT_COLUMNS if c not in row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)

@@ -11,7 +11,7 @@ sweep over these compositions counts both the transitivity violations and
 the three-cycle matches behind ``cycle_error``.
 
 A universe assignment is scored in ``O(m log m)`` from counts, without
-expanding its ``k^2`` match maps: points match iff they share a slot, so the
+forming its ``k^2`` match maps: points match iff they share a slot, so the
 predicted pairs are ``sum C(n_s, 2)`` over the occupancies of the occupied
 slots, read off :attr:`~hippi.core.UniverseAssignment.slot_runs`, and the
 true positives ``sum C(c, 2)`` over (slot, label) cells of inlier points.
@@ -26,20 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``expand`` is unused here but stays bound: perfbench/spans.py times it as
-# ``metrics.expand``.
-from hippi.core import (  # noqa: F401
-    BlockIndex,
-    PairwiseMatchingSet,
-    UniverseAssignment,
-    expand,
-    integer_fields,
-)
+from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, integer_fields
 
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Pair-level match counts plus consistency and runtime.
+    """Pair-level match counts plus cycle consistency.
 
     Precision, recall and f-score are derived from the counts, so they cannot
     disagree with them; a ratio with a zero denominator reads 0.
@@ -49,7 +41,6 @@ class MatchReport:
     false_positives: int
     false_negatives: int
     cycle_error: float = 0.0
-    runtime_seconds: float = 0.0
 
     def __post_init__(self):
         counts = ("true_positives", "false_positives", "false_negatives")
@@ -59,8 +50,6 @@ class MatchReport:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.cycle_error <= 1.0:
             raise ValueError(f"cycle_error must be in [0, 1], got {self.cycle_error}")
-        if self.runtime_seconds < 0:
-            raise ValueError("runtime_seconds must be non-negative")
 
     @property
     def precision(self) -> float:
@@ -201,7 +190,7 @@ def _true_pairs(labels: list[np.ndarray], index: BlockIndex) -> int:
     return _pairs(_cell_counts(flat[inlier])) - _pairs(_cell_counts(owner[inlier], flat[inlier]))
 
 
-def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
+def fscore(predicted, truth) -> MatchReport:
     """Score a predicted matching against per-object universe labels.
 
     ``predicted`` is a :class:`UniverseAssignment` or a
@@ -224,4 +213,4 @@ def fscore(predicted, truth, runtime_seconds: float = 0.0) -> MatchReport:
     else:
         raise TypeError(f"cannot score a {type(predicted).__name__} as a matching")
     fn = _true_pairs(labels, index) - tp
-    return MatchReport(tp, fp, fn, cycle_error=consistency, runtime_seconds=runtime_seconds)
+    return MatchReport(tp, fp, fn, cycle_error=consistency)

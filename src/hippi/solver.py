@@ -101,10 +101,6 @@ class WbarOperator:
         self.index = similarity.index
         self.adjacency = adjacency
 
-    @classmethod
-    def from_kernels(cls, similarity: SimilarityMatrix, adjacency: MultiAdjacency | None):
-        return cls(similarity, adjacency)
-
     def times_assignment(self, u: UniverseAssignment) -> np.ndarray:
         """``Wb @ U`` on ``u``'s occupied slots, without forming the one-hot ``U``.
 

@@ -21,7 +21,7 @@ from hippi.baselines import (
 )
 from hippi.cli import RunConfig, bench_ladder, fit_scaling_exponent
 from hippi.core import BlockIndex, UniverseAssignment, expand
-from hippi.kernels import KernelConfig, build_adjacency, build_similarity
+from hippi.kernels import KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
     SolverConfig,
@@ -59,7 +59,7 @@ def _random_operator(seed):
     d = max(sizes) + int(rng.integers(0, 3))
     w = integer_similarity(rng, sizes)
     a = integer_psd_adjacency(rng, sizes)
-    op = WbarOperator.from_kernels(w, a)
+    op = WbarOperator(w, a)
     u0 = random_assignment(rng, sizes, d)
     return op, u0
 
@@ -160,7 +160,7 @@ def test_05_restarts_reach_global_optimum_on_tiny_instances(acceptance_log):
         d = int(rng.integers(max(sizes), 4))
         w = integer_similarity(rng, sizes)
         a = integer_psd_adjacency(rng, sizes)
-        op = WbarOperator.from_kernels(w, a)
+        op = WbarOperator(w, a)
         idx = BlockIndex(sizes)
         best_possible = max(
             objective(op, UniverseAssignment(
@@ -195,8 +195,8 @@ def test_06_noiseless_instances_recover_exactly(acceptance_log):
         )
         p = generate(cfg)
         w = build_similarity(p, kcfg)
-        a = build_adjacency(p, kcfg)
-        op = WbarOperator.from_kernels(w, a)
+        a = assert_psd(build_adjacency(p, kcfg)).adjacency
+        op = WbarOperator(w, a)
         d = max(p.sizes)
         u0 = random_init(p.index, d, seed=seed)
         u, _ = hippi_solve(op, u0, SolverConfig(max_iters=200))
@@ -221,11 +221,11 @@ def test_07_position_context_beats_geometry_blind_voting(acceptance_log):
             seed=seed,
         )
         w = build_similarity(p, kcfg)
-        a = build_adjacency(p, kcfg)
+        a = assert_psd(build_adjacency(p, kcfg)).adjacency
         d = max(p.sizes)
         votes = pairwise_lap_matchings(w)
         baseline = spectral_sync(votes, d)
-        op = WbarOperator.from_kernels(vote_similarity(votes), a)
+        op = WbarOperator(vote_similarity(votes), a)
         refined, _ = hippi_solve(op, baseline, SolverConfig(max_iters=200))
         spectral_scores.append(fscore(baseline, p.ground_truth).fscore)
         refined_scores.append(fscore(refined, p.ground_truth).fscore)

@@ -266,6 +266,6 @@ def test_vote_similarity_feeds_the_solver_operator():
     rng = np.random.default_rng(2)
     sim = integer_similarity(rng, sizes=(3, 3))
     votes = vote_similarity(pairwise_lap_matchings(sim))
-    op = WbarOperator.from_kernels(votes, None)
+    op = WbarOperator(votes, None)
     u = random_assignment(np.random.default_rng(0), (3, 3), d=3)
     assert objective(op, u) >= 0.0

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -277,6 +278,28 @@ class TestSolve:
                     "--seed", "1"]) == cli.EXIT_DATA
         assert f"object 1: {field} row 2 is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit, message", [
+        pytest.param("points", lambda obj: obj[2].pop(),
+                     "{file}: object 1: points: row 2 is not as long as row 0", id="ragged"),
+        pytest.param("points", lambda obj: [row.append(0.5) for row in obj],
+                     "object 1: ambient dimension 3 is not object 0's", id="ambient-dim"),
+        pytest.param("features", lambda obj: [row.pop() for row in obj],
+                     "object 1: feature dimension 3 is not object 0's", id="feature-dim"),
+        pytest.param("ground_truth", lambda obj: obj.__setitem__(3, -2),
+                     "object 1 row 3: ground-truth label -2 < -1", id="label"),
+        pytest.param("ground_truth", lambda obj: obj.pop(),
+                     "object 1: 7 ground-truth labels, 8 points", id="label-count"),
+    ])
+    def test_bad_problem_file_is_data_error_naming_object_and_row(
+        self, problem_path, tmp_path, capsys, field, edit, message
+    ):
+        doc = json.loads(problem_path.read_text())
+        edit(doc[field][1])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["solve", "--problem", bad, "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert message.format(file=bad) in capsys.readouterr().err
+
     def test_removed_projection_flag_is_usage_error(self, problem_path, tmp_path):
         for flag, value in (("--projection", "auction"), ("--f-tol", "0")):
             assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
@@ -332,6 +355,22 @@ class TestEval:
         assert code == cli.EXIT_OK
         row = io.load_report(out / "report.csv")
         assert row["fscore"] == io.load_report(solved / "report.csv")["fscore"]
+
+    @pytest.mark.parametrize("flag", ["--assignment", "--pairwise"])
+    def test_runtime_covers_the_scoring(self, problem_path, solved, tmp_path, monkeypatch, flag):
+        def slow_fscore(*args):
+            time.sleep(0.2)
+            return metrics.fscore(*args)
+
+        prediction = solved / "assignment.json"
+        if flag == "--pairwise":
+            prediction = tmp_path / "pairwise.json"
+            io.save_pairwise(expand(io.load_assignment(solved / "assignment.json")), prediction)
+        monkeypatch.setattr(cli, "fscore", slow_fscore)
+        out = tmp_path / "eval"
+        assert run(["eval", "--problem", problem_path, flag, prediction,
+                    "--out", out]) == cli.EXIT_OK
+        assert float(io.load_report(out / "report.csv")["runtime_seconds"]) >= 0.2
 
     def test_requires_a_prediction_argument(self, problem_path, tmp_path):
         assert run(["eval", "--problem", problem_path,

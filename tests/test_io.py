@@ -409,7 +409,7 @@ class TestTraceFiles:
 
 class TestReportFiles:
     def test_round_trip_values(self, tmp_path):
-        report = MatchReport(8, 2, 4, cycle_error=0.125, runtime_seconds=1.5)
+        report = MatchReport(8, 2, 4, cycle_error=0.125)
         path = tmp_path / "report.csv"
         io.save_report(
             report,
@@ -419,6 +419,7 @@ class TestReportFiles:
             d=5,
             iterations=7,
             converged=True,
+            runtime_seconds=1.5,
         )
         row = io.load_report(path)
         assert row["method"] == "hippi"

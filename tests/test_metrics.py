@@ -282,8 +282,6 @@ def test_match_report_validation():
     with pytest.raises(ValueError):
         MatchReport(true_positives=-1, false_positives=0, false_negatives=0)
     with pytest.raises(ValueError):
-        MatchReport(true_positives=0, false_positives=0, false_negatives=0, runtime_seconds=-1.0)
-    with pytest.raises(ValueError):
         MatchReport(true_positives=0, false_positives=0, false_negatives=0, cycle_error=1.5)
     with pytest.raises(ValueError):
         MatchReport(true_positives=1.5, false_positives=0, false_negatives=0)

@@ -39,7 +39,7 @@ from helpers import (
 def integer_operator(rng, sizes):
     w = integer_similarity(rng, sizes)
     a = integer_psd_adjacency(rng, sizes)
-    return WbarOperator.from_kernels(w, a)
+    return WbarOperator(w, a)
 
 
 def test_identity_wbar_counts_squared_slot_occupancy():
