@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--sigma", type=float)
     slv.add_argument("--mu", type=float)
     slv.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
-    slv.add_argument("--knn", dest="knn_sparsify", type=int)
     slv.add_argument("--max-iters", dest="max_iters", type=int)
     slv.add_argument("--strict-psd", dest="strict_psd", action="store_true", default=None)
     slv.add_argument("--external", help="assignment file for the external-file method")

@@ -86,6 +86,36 @@ def integer_fields(config, required=(), optional=()) -> None:
             object.__setattr__(config, name, as_integer(value, name))
 
 
+def integer_array(a, name) -> np.ndarray:
+    """``a`` as read-only ``int64``; a bool, fractional, non-finite or huge entry raises.
+
+    ``2.0`` passes, as in :func:`as_integer`.  The error names ``name(*position)``.
+    """
+    a = np.asarray(a)
+    bad = np.full(a.shape, a.dtype.kind not in "iuf")
+    if a.dtype.kind in "uf":
+        bad = ~(np.abs(a) < 2**63) | (a != np.trunc(a))
+    if bad.any():
+        pos = tuple(int(p) for p in np.argwhere(bad)[0])
+        raise ValueError(f"{name(*pos)} must be an integer, got {a[pos].item()!r}")
+    return _owned(a, np.int64)
+
+
+def ground_truth_labels(truth, sizes) -> tuple[np.ndarray, ...]:
+    """The one label rule: per object of ``sizes``, ``int64`` universe labels or OUTLIER."""
+    labels = [np.asarray(g) for g in truth]
+    if len(labels) != len(sizes):
+        raise ValueError(f"ground truth labels {len(labels)} objects, not {len(sizes)}")
+    for i, (g, n) in enumerate(zip(labels, sizes)):
+        if g.shape != (n,):
+            raise ValueError(f"object {i}: {g.size} ground-truth labels, {n} points")
+        labels[i] = g = integer_array(g, lambda r: f"object {i} row {r}: ground-truth label")
+        r = int(np.argmax(g < OUTLIER))
+        if g[r] < OUTLIER:
+            raise ValueError(f"object {i} row {r}: ground-truth label {g[r]} < {OUTLIER}")
+    return tuple(labels)
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN or infinities in a 2-D array, by row blocks, naming the first bad row."""
     for r in range(0, a.shape[0], SYMMETRY_TILE):
@@ -191,16 +221,7 @@ class ProblemInstance:
                 raise ValueError(f"object {i}: feature dimension {f.shape[1]} is not object 0's")
             _require_finite(f, f"object {i}: features")
         gt = self.ground_truth
-        if gt is not None:
-            gt = tuple(_owned(g, np.int64) for g in gt)
-            if len(gt) != len(points):
-                raise ValueError(f"ground truth labels {len(gt)} objects, not {len(points)}")
-            for i, (g, p) in enumerate(zip(gt, points)):
-                if g.shape != (len(p),):
-                    raise ValueError(f"object {i}: {g.size} ground-truth labels, {len(p)} points")
-                r = int(np.argmax(g < OUTLIER))
-                if g[r] < OUTLIER:
-                    raise ValueError(f"object {i} row {r}: ground-truth label {g[r]} < {OUTLIER}")
+        gt = gt if gt is None else ground_truth_labels(gt, [len(p) for p in points])
         dist = self.distances
         if dist is not None:
             dist = tuple(_owned(dm, np.float64) for dm in dist)
@@ -336,6 +357,7 @@ class MultiAdjacency:
             b = np.asarray(b, dtype=np.float64)
             if b.shape != (s, s):
                 raise ValueError(f"block {i} must be ({s}, {s}), got {b.shape}")
+            _require_finite(b, f"adjacency block {i}")
             if not _exactly_symmetric(b):
                 raise ValueError(f"block {i} must be exactly symmetric")
             blocks.append(b)
@@ -386,11 +408,11 @@ class UniverseAssignment:
     index: BlockIndex
 
     def __post_init__(self):
-        a = _owned(self.assignment, np.int64)
-        idx = self.index
+        a, idx = np.asarray(self.assignment), self.index
         d = idx.universe(self.d)
         if a.shape != (idx.m,):
             raise ValueError(f"assignment must have length {idx.m}, got {a.shape}")
+        a = integer_array(a, lambda r: f"object {idx.owner[r]} row {idx.local[r]}: slot")
         if a.size and (a.min() < 0 or a.max() >= d):
             raise ValueError(f"universe columns must lie in [0, {d})")
         object.__setattr__(self, "assignment", a)
@@ -457,11 +479,11 @@ class PairwiseMatchingSet:
     index: BlockIndex
 
     def __post_init__(self):
-        t = _owned(self.targets, np.int64)
-        idx = self.index
+        t, idx = np.asarray(self.targets), self.index
         k, starts = idx.k, idx.offsets[:-1]
         if t.shape != (idx.m, k):
             raise ValueError(f"targets must be ({idx.m}, {k}), got {t.shape}")
+        t = integer_array(t, lambda g, j: f"targets row {g} column {j}")
         sizes = np.array(idx.sizes)
         bad = np.add.reduceat((t < -1) | (t >= sizes), starts, axis=0, dtype=np.int64)
         if bad.any():

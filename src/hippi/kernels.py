@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix, integer_fields
+from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix
 
 log = logging.getLogger(__name__)
 
@@ -41,24 +41,19 @@ class KernelConfig:
     dimensionless adjacency scaling.  ``weight_mode`` selects the per-pair
     weight: ``constant`` (1 everywhere) or ``intra-ratio`` (down-weight
     descriptors that sit close to another descriptor of the same object).
-    ``knn_sparsify`` > 0 keeps only the top-t similarities per row.
     """
 
     sigma: float = 1.0
     mu: float = 1.0
     weight_mode: str = "constant"
-    knn_sparsify: int = 0
 
     def __post_init__(self):
-        integer_fields(self, ("knn_sparsify",))
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        if self.knn_sparsify < 0:
-            raise ValueError("knn_sparsify must be >= 0 (0 keeps the matrix dense)")
 
 
 def _gaussian(dist: np.ndarray, scale: float) -> np.ndarray:
@@ -83,8 +78,8 @@ def _nearest(dist: np.ndarray) -> np.ndarray:
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
     """Cross-object similarity matrix from feature descriptors.
 
-    One ``cdist`` over all descriptors gives every entry.  The kernel is then
-    applied in place, the weights and the top-t cut row block by row block,
+    One ``cdist`` over all descriptors gives every entry.  The kernel and the
+    weights are then applied in place, the weights row block by row block,
     and the diagonal blocks are zeroed.  The finished array is frozen so that
     :class:`SimilarityMatrix` adopts it: a build holds no ``m x m`` float
     array beyond ``W`` itself.
@@ -105,30 +100,8 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
             w[rows] *= np.outer(trust[rows], trust)
     for i in range(idx.k):
         w[idx.slice_of(i), idx.slice_of(i)] = 0.0
-    if config.knn_sparsify > 0:
-        _sparsify_topk(w, config.knn_sparsify)
     w.setflags(write=False)
     return SimilarityMatrix(data=w, index=idx)
-
-
-def _sparsify_topk(w: np.ndarray, t: int) -> None:
-    """Zero, in place, everything outside each row's top-t entries; keep symmetry by union."""
-    m = w.shape[0]
-    if t >= m:
-        return
-    keep = np.zeros((m, m), dtype=bool)
-    for r in range(0, m, BLOCK_ROWS):
-        rows = slice(r, r + BLOCK_ROWS)
-        top = np.argpartition(-w[rows], t - 1, axis=1)[:, :t]
-        np.put_along_axis(keep[rows], top, True, axis=1)
-    # keep[c, r] is either as marked or already or-ed with keep[r, c]; either
-    # way or-ing it into keep[r, c] gives the union, so the union is taken in
-    # place one row block at a time and a block's rows are final once it is
-    # done.  W is non-negative, so the product writes +0.0 where it cuts.
-    for r in range(0, m, BLOCK_ROWS):
-        rows = slice(r, r + BLOCK_ROWS)
-        keep[rows] |= keep[:, rows].T
-        w[rows] *= keep[rows]
 
 
 def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdjacency:

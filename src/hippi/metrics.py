@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, integer_fields
+from hippi.core import PairwiseMatchingSet, UniverseAssignment, ground_truth_labels, integer_fields
 
 
 @dataclass(frozen=True)
@@ -151,40 +151,29 @@ def _cell_counts(*keys: np.ndarray) -> np.ndarray:
     return np.unique(np.stack(keys), axis=1, return_counts=True)[1]
 
 
-def _checked_labels(truth, index: BlockIndex) -> list[np.ndarray]:
-    labels = [np.asarray(t, dtype=np.int64) for t in truth]
-    if len(labels) != index.k or any(t.shape != (s,) for t, s in zip(labels, index.sizes)):
-        raise ValueError("ground truth does not match the objects' sizes")
-    return labels
-
-
-def _universe_counts(u: UniverseAssignment, labels: list[np.ndarray]) -> tuple[int, int]:
-    """True and false positive pairs of a universe assignment.
+def _universe_counts(u: UniverseAssignment, flat: np.ndarray) -> tuple[int, int]:
+    """True and false positive pairs of a universe assignment, given each point's label.
 
     Two points of one object never share a slot, so every pair within a slot
     is a predicted cross-object match, and it is true when both points carry
     the same inlier label.
     """
     predicted = _pairs(np.diff(u.slot_runs[1], append=u.m))
-    flat = np.concatenate(labels)
     inlier = flat >= 0
     tp = _pairs(_cell_counts(u.assignment[inlier], flat[inlier]))
     return tp, predicted - tp
 
 
-def _pairwise_counts(ms: PairwiseMatchingSet, labels: list[np.ndarray]) -> tuple[int, int]:
+def _pairwise_counts(ms: PairwiseMatchingSet, flat: np.ndarray) -> tuple[int, int]:
     """True and false positive pairs among the cross-object matches, each counted once."""
     g, _, h = ms.global_matches(upper=True)
-    flat = np.concatenate(labels)
     a, b = flat[g], flat[h]
     tp = int(np.sum((a >= 0) & (a == b)))
     return tp, g.size - tp
 
 
-def _true_pairs(labels: list[np.ndarray], index: BlockIndex) -> int:
+def _true_pairs(flat: np.ndarray, owner: np.ndarray) -> int:
     """Cross-object pairs of inlier points that share a label."""
-    flat = np.concatenate(labels)
-    owner = index.owner
     inlier = flat >= 0
     # Same-object repeats of a label form no pairs, so they are discounted.
     return _pairs(_cell_counts(flat[inlier])) - _pairs(_cell_counts(owner[inlier], flat[inlier]))
@@ -202,15 +191,13 @@ def fscore(predicted, truth) -> MatchReport:
     """
     if truth is None:
         raise ValueError("ground truth labels are required")
-    if isinstance(predicted, UniverseAssignment):
-        index, consistency = predicted.index, 0.0
-        labels = _checked_labels(truth, index)
-        tp, fp = _universe_counts(predicted, labels)
-    elif isinstance(predicted, PairwiseMatchingSet):
-        index, consistency = predicted.index, verify_cycle_consistency(predicted).cycle_error
-        labels = _checked_labels(truth, index)
-        tp, fp = _pairwise_counts(predicted, labels)
-    else:
+    if not isinstance(predicted, (UniverseAssignment, PairwiseMatchingSet)):
         raise TypeError(f"cannot score a {type(predicted).__name__} as a matching")
-    fn = _true_pairs(labels, index) - tp
+    flat = np.concatenate(ground_truth_labels(truth, predicted.index.sizes))
+    if isinstance(predicted, UniverseAssignment):
+        consistency, (tp, fp) = 0.0, _universe_counts(predicted, flat)
+    else:
+        consistency = verify_cycle_consistency(predicted).cycle_error
+        tp, fp = _pairwise_counts(predicted, flat)
+    fn = _true_pairs(flat, predicted.index.owner) - tp
     return MatchReport(tp, fp, fn, cycle_error=consistency)

@@ -347,17 +347,6 @@ def pairwise_similarity(instance, sigma: float, weight_mode: str) -> np.ndarray:
     return w
 
 
-def dense_sparsify_topk(w: np.ndarray, t: int) -> np.ndarray:
-    """Top-t sparsification over whole ``m x m`` arrays: one argpartition, a full mask."""
-    if t >= w.shape[1]:
-        return w
-    keep = np.zeros_like(w, dtype=bool)
-    top = np.argpartition(-w, t - 1, axis=1)[:, :t]
-    np.put_along_axis(keep, top, True, axis=1)
-    keep |= keep.T
-    return np.where(keep, w, 0.0)
-
-
 def planted_assignment(p: ProblemInstance, d: int) -> UniverseAssignment:
     """The ground-truth universe assignment, with outliers parked injectively.
 

@@ -643,7 +643,6 @@ MERGE_CASES = [
     ("solve", ["--mu", "0.3"], "kernel", "mu", 0.7, 0.3),
     ("solve", ["--weight-mode", "intra-ratio"], "kernel", "weight_mode", "constant",
      "intra-ratio"),
-    ("solve", ["--knn", "5"], "kernel", "knn_sparsify", 3, 5),
     ("solve", ["--max-iters", "9"], "solver", "max_iters", 50, 9),
     ("solve", ["--d", "30"], "run", "d", 25, 30),
     ("solve", ["--method", "greedy"], "run", "method", "spectral", "greedy"),
@@ -767,13 +766,11 @@ class TestIntegerFields:
     @pytest.mark.parametrize("command, doc, message", [
         ("generate", {"generate": {"k": 2.5, "d_true": 4}}, "k must be an integer, got 2.5"),
         ("solve", {"run": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
-        ("solve", {"kernel": {"knn_sparsify": 2.5}},
-         "knn_sparsify must be an integer, got 2.5"),
         ("solve", {"run": {"d": 12.7}}, "d must be an integer, got 12.7"),
         ("solve", {"solver": {"max_iters": 2.5}}, "max_iters must be an integer, got 2.5"),
         ("solve", {"solver": {"max_iters": True}}, "max_iters must be an integer, got True"),
         ("bench", {"run": {"sizes": [40, 80.5]}}, "sizes[1] must be an integer, got 80.5"),
-    ], ids=["generate-k", "run-seed", "kernel-knn", "run-d", "solver-max-iters",
+    ], ids=["generate-k", "run-seed", "run-d", "solver-max-iters",
             "solver-max-iters-bool", "run-sizes"])
     def test_config_file_field(self, problem_path, tmp_path, capsys, command, doc, message):
         argv = [command, "--config", self.write(tmp_path, doc), "--out", tmp_path / "x"]
@@ -784,8 +781,7 @@ class TestIntegerFields:
         assert not (tmp_path / "x").exists()
 
     def test_integral_floats_in_the_config_file_are_accepted(self, problem_path, tmp_path):
-        doc = {"run": {"d": 30.0, "seed": 1.0}, "solver": {"max_iters": 5.0},
-               "kernel": {"knn_sparsify": 4.0}}
+        doc = {"run": {"d": 30.0, "seed": 1.0}, "solver": {"max_iters": 5.0}}
         out = tmp_path / "x"
         assert run(["solve", "--problem", problem_path, "--config", self.write(tmp_path, doc),
                     "--out", out]) == cli.EXIT_OK

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,45 @@ UNIVERSE_TAKERS = {
 def test_every_universe_check_is_the_block_index_rule(taker, d, message):
     with pytest.raises(ValueError, match=message):
         UNIVERSE_TAKERS[taker](BlockIndex((2, 3)), d)
+
+
+#: Each type that takes an integer array: a builder, a valid array, and the name of an entry.
+INTEGER_ARRAYS = {
+    "UniverseAssignment": (
+        lambda a: UniverseAssignment(a, d=3, index=BlockIndex((2, 2))),
+        [0, 1, 1, 0],
+        lambda r: f"object {r // 2} row {r % 2}: slot",
+    ),
+    "ground_truth": (
+        lambda a: ProblemInstance(
+            points=(np.zeros((2, 2)),) * 2, features=(np.ones((2, 1)),) * 2, ground_truth=([0, 1], a)
+        ),
+        [1, 0],
+        lambda r: f"object 1 row {r}: ground-truth label",
+    ),
+    "targets": (
+        lambda a: PairwiseMatchingSet(a, index=BlockIndex((2, 2))),
+        [[0, 1], [1, 0], [1, 0], [0, 1]],
+        lambda g, j: f"targets row {g} column {j}",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["fractional", "not-finite", "bool"])
+@pytest.mark.parametrize("taker", list(INTEGER_ARRAYS))
+def test_integer_arrays_are_checked_where_the_type_is_built(taker, kind):
+    """Integral floats pass; a fractional or non-finite entry, or a bool array, raises naming it."""
+    build, valid, name = INTEGER_ARRAYS[taker]
+    a = np.array(valid, dtype=float)
+    assert build(a) == build(np.array(valid))
+    if kind == "bool":
+        a, pos = a != 0, (0,) * a.ndim
+    else:
+        pos = np.unravel_index(a.size - 1, a.shape)
+        a[pos] = a[pos] + 0.5 if kind == "fractional" else np.nan
+    message = f"{name(*pos)} must be an integer, got {a[pos].item()!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(a)
 
 
 class TestBlockIndex:
@@ -231,6 +272,13 @@ class TestMultiAdjacency:
             assert not b.flags.writeable
             with pytest.raises(ValueError):
                 b[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_block_names_the_block_and_row(self, bad):
+        blocks = [np.eye(2), np.eye(3)]
+        blocks[1][2, 2] = bad  # on the diagonal, so the block is still symmetric
+        with pytest.raises(ValueError, match="^adjacency block 1 row 2 is not finite$"):
+            MultiAdjacency(blocks=tuple(blocks), index=BlockIndex((2, 3)))
 
     def test_input_blocks_are_copied(self):
         block = np.eye(3)

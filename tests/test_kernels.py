@@ -8,13 +8,12 @@ from hippi.core import BlockIndex, MultiAdjacency, ProblemInstance
 from hippi.kernels import (
     DegenerateGeometryError,
     KernelConfig,
-    _sparsify_topk,
     assert_psd,
     build_adjacency,
     build_similarity,
 )
 
-from helpers import block, dense_sparsify_topk, pairwise_similarity
+from helpers import block, pairwise_similarity
 
 
 def make_instance(rng, k=3, size=5, dim=2, fdim=4):
@@ -103,19 +102,6 @@ class TestBuildSimilarity:
         # the isolated descriptor keeps (almost) full weight
         assert block(weighted, 0, 1)[2, 0] > 0.99 * block(plain, 0, 1)[2, 0]
 
-    def test_knn_sparsify_keeps_symmetry_and_top_entries(self):
-        inst = make_instance(np.random.default_rng(2), k=3, size=4)
-        dense = build_similarity(inst, KernelConfig(sigma=1.0))
-        sparse = build_similarity(inst, KernelConfig(sigma=1.0, knn_sparsify=2))
-        assert np.array_equal(sparse.data, sparse.data.T)
-        kept = sparse.data > 0
-        assert kept.sum() < (dense.data > 0).sum()
-        # every kept entry is in the top-2 of its row or column
-        for p, q in zip(*np.nonzero(kept)):
-            row_rank = (dense.data[p] > dense.data[p, q]).sum()
-            col_rank = (dense.data[:, q] > dense.data[p, q]).sum()
-            assert row_rank < 2 or col_rank < 2
-
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             KernelConfig(sigma=0.0)
@@ -123,32 +109,6 @@ class TestBuildSimilarity:
             KernelConfig(sigma=1.0, mu=-1.0)
         with pytest.raises(ValueError):
             KernelConfig(sigma=1.0, weight_mode="nope")
-
-
-def symmetric_scores(rng, m, high=None):
-    """Random symmetric non-negative matrix; ``high`` draws small integers, so rows tie."""
-    if high is None:
-        w = rng.random((m, m))
-    else:
-        w = rng.integers(0, high, size=(m, m)).astype(float)
-    return np.triu(w, 1) + np.triu(w, 1).T
-
-
-class TestSparsifyTopk:
-    @pytest.mark.parametrize("m,t", [(1, 1), (2, 1), (63, 3), (64, 1), (65, 64), (150, 7), (200, 40)])
-    @pytest.mark.parametrize("high", [None, 3], ids=["distinct", "ties"])
-    def test_bit_identical_to_whole_matrix_cut(self, m, t, high):
-        w = symmetric_scores(np.random.default_rng(m + t), m, high)
-        expected = dense_sparsify_topk(w.copy(), t)
-        _sparsify_topk(w, t)
-        assert np.array_equal(w.view(np.int64), expected.view(np.int64))
-
-    @pytest.mark.parametrize("t", [9, 10, 50])
-    def test_t_at_least_m_keeps_everything(self, t):
-        w = symmetric_scores(np.random.default_rng(t), 9, high=3)
-        before = w.copy()
-        _sparsify_topk(w, t)
-        assert np.array_equal(w, before)
 
 
 class TestSimilarityMemory:
@@ -176,9 +136,6 @@ class TestSimilarityMemory:
 
     def test_intra_ratio_peak_near_one_w(self):
         assert self.peak_over_w(KernelConfig(sigma=2.0, weight_mode="intra-ratio")) <= 1.3
-
-    def test_knn_sparsify_peak_below_two_w(self):
-        assert self.peak_over_w(KernelConfig(sigma=2.0, knn_sparsify=5)) <= 1.6
 
 
 def test_adjacency_build_peaks_at_twice_its_blocks():

@@ -1,11 +1,19 @@
 """Metric tests: exact violation counting and pair-level scoring."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hippi.core import BlockIndex, PairwiseMatchingSet, UniverseAssignment, expand
+from hippi.core import (
+    BlockIndex,
+    PairwiseMatchingSet,
+    ProblemInstance,
+    UniverseAssignment,
+    expand,
+)
 from hippi.metrics import CycleReport, MatchReport, fscore, verify_cycle_consistency
 
 from helpers import (
@@ -276,6 +284,21 @@ def test_fscore_requires_ground_truth():
         fscore(u, [np.array([0, 1]), np.array([0])])
     with pytest.raises(TypeError):
         fscore(np.eye(4), [np.array([0, 1]), np.array([0, 1])])
+
+
+@pytest.mark.parametrize("label, message", [
+    (-2, "object 1 row 2: ground-truth label -2 < -1"),
+    (0.4, "object 1 row 2: ground-truth label must be an integer, got 0.4"),
+], ids=["below-outlier", "fractional"])
+def test_fscore_checks_labels_by_the_problem_rule(label, message):
+    u = random_assignment(np.random.default_rng(15), (2, 3), 3)
+    truth = [np.array([0, 1]), np.array([0, 1, label])]
+    for predicted in (u, expand(u)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fscore(predicted, truth)
+    points = (np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProblemInstance(points=points, features=points, ground_truth=truth)
 
 
 def test_match_report_validation():
