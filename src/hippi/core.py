@@ -15,8 +15,10 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import groupby
 
@@ -86,6 +88,21 @@ def integer_fields(config, required=(), optional=()) -> None:
             object.__setattr__(config, name, as_integer(value, name))
 
 
+def as_float(value, what: str) -> float:
+    """``value`` as a ``float``; a bool, a non-number, NaN or infinity raises, naming ``what``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def float_fields(config, names) -> None:
+    """Pass the named fields of a frozen dataclass through :func:`as_float`."""
+    for name in names:
+        object.__setattr__(config, name, as_float(getattr(config, name), name))
+
+
 def integer_array(a, name) -> np.ndarray:
     """``a`` as read-only ``int64``; a bool, fractional, non-finite or huge entry raises.
 
@@ -122,6 +139,19 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         bad_rows = np.flatnonzero(~np.isfinite(a[r : r + SYMMETRY_TILE]).all(axis=1))
         if bad_rows.size:
             raise ValueError(f"{what} row {r + int(bad_rows[0])} is not finite")
+
+
+def _fields_equal(self, other):
+    """``==`` by fields: arrays by ``np.array_equal``, tuples entry by entry, else by ``==``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+
+    def same(a, b) -> bool:
+        if isinstance(a, tuple):
+            return isinstance(b, tuple) and len(a) == len(b) and all(map(same, a, b))
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    return all(same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -198,6 +228,7 @@ class ProblemInstance:
     ground_truth: tuple[np.ndarray, ...] | None = None
     distances: tuple[np.ndarray, ...] | None = None
     seed: int | None = None
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         points = tuple(_owned(p, np.float64) for p in self.points)
@@ -255,24 +286,6 @@ class ProblemInstance:
     def index(self) -> BlockIndex:
         return BlockIndex(tuple(p.shape[0] for p in self.points))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProblemInstance):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and len(self.points) == len(other.points)
-            and all(np.array_equal(a, b) for a, b in zip(self.points, other.points))
-            and all(np.array_equal(a, b) for a, b in zip(self.features, other.features))
-            and _opt_tuple_equal(self.ground_truth, other.ground_truth)
-            and _opt_tuple_equal(self.distances, other.distances)
-        )
-
-
-def _opt_tuple_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
@@ -323,11 +336,6 @@ class SimilarityMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.data @ x
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimilarityMatrix):
-            return NotImplemented
-        return self.index == other.index and np.array_equal(self.data, other.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,13 +393,6 @@ class MultiAdjacency:
             )
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiAdjacency):
-            return NotImplemented
-        return self.index == other.index and all(
-            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class UniverseAssignment:
@@ -406,6 +407,7 @@ class UniverseAssignment:
     assignment: np.ndarray
     d: int
     index: BlockIndex
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         a, idx = np.asarray(self.assignment), self.index
@@ -454,15 +456,6 @@ class UniverseAssignment:
             arr.setflags(write=False)
         return order, starts, occupied
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniverseAssignment):
-            return NotImplemented
-        return (
-            self.index == other.index
-            and self.d == other.d
-            and np.array_equal(self.assignment, other.assignment)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PairwiseMatchingSet:
@@ -477,6 +470,7 @@ class PairwiseMatchingSet:
 
     targets: np.ndarray
     index: BlockIndex
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         t, idx = np.asarray(self.targets), self.index
@@ -540,11 +534,6 @@ class PairwiseMatchingSet:
         g, h = g[order], h[order]
         owner, local = self.index.owner, self.index.local
         return zip(owner[g].tolist(), local[g].tolist(), owner[h].tolist(), local[h].tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairwiseMatchingSet):
-            return NotImplemented
-        return self.index == other.index and np.array_equal(self.targets, other.targets)
 
 
 def expand(u: UniverseAssignment) -> PairwiseMatchingSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix
+from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix, float_fields
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +48,7 @@ class KernelConfig:
     weight_mode: str = "constant"
 
     def __post_init__(self):
+        float_fields(self, ("sigma", "mu"))
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.mu > 0:

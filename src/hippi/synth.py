@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hippi.core import OUTLIER, ProblemInstance, integer_fields
+from hippi.core import OUTLIER, ProblemInstance, as_float, float_fields, integer_fields
 
 TRANSFORM_FAMILIES = ("rigid", "similarity", "none")
 
@@ -45,6 +45,9 @@ class GenConfig:
 
     def __post_init__(self):
         integer_fields(self, ("k", "d_true", "feature_dim", "seed"), ("feature_prototypes",))
+        float_fields(
+            self, ("visibility", "coord_noise_sigma", "feature_noise_sigma", "outlier_fraction")
+        )
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d_true < 1:
@@ -52,9 +55,7 @@ class GenConfig:
         if not 0.0 < self.visibility <= 1.0:
             raise ValueError(f"visibility must be in (0, 1], got {self.visibility}")
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError(
-                f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}"
-            )
+            raise ValueError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
         if self.coord_noise_sigma < 0 or self.feature_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
         if self.feature_dim < 1:
@@ -64,7 +65,7 @@ class GenConfig:
                 f"transform_family must be one of {TRANSFORM_FAMILIES}"
             )
         if self.occlusion_rect is not None:
-            rect = tuple(float(v) for v in self.occlusion_rect)
+            rect = tuple(as_float(v, "occlusion_rect entry") for v in self.occlusion_rect)
             if len(rect) != 4 or any(not 0.0 <= v <= 1.0 for v in rect):
                 raise ValueError("occlusion_rect must be four fractions in [0, 1]")
             object.__setattr__(self, "occlusion_rect", rect)
@@ -165,40 +166,37 @@ def twin_prototype_instance(
     outlier points (fresh features, coordinates uniform over the object's
     bounding box), and has its point order shuffled.
     """
-    if d_true < 2 or d_true % 2:
-        raise ValueError(f"d_true must be a positive even number, got {d_true}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if separation < 0 or feature_noise_sigma < 0:
-        raise ValueError("separation and feature_noise_sigma must be non-negative")
-    if not 0.0 <= outlier_fraction < 1.0:
-        raise ValueError(
-            f"outlier_fraction must be in [0, 1), got {outlier_fraction}"
-        )
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-    rng = np.random.default_rng(seed)
-    half = d_true // 2
-    base = rng.normal(size=(half, feature_dim))
-    offsets = rng.normal(size=(half, feature_dim))
+    cfg = GenConfig(
+        k=k, d_true=d_true, feature_dim=feature_dim, seed=seed,
+        feature_noise_sigma=feature_noise_sigma, outlier_fraction=outlier_fraction,
+    )
+    if cfg.d_true % 2:
+        raise ValueError(f"d_true must be a positive even number, got {cfg.d_true}")
+    separation = as_float(separation, "separation")
+    if separation < 0:
+        raise ValueError(f"separation must be non-negative, got {separation}")
+    rng = np.random.default_rng(cfg.seed)
+    half = cfg.d_true // 2
+    base = rng.normal(size=(half, cfg.feature_dim))
+    offsets = rng.normal(size=(half, cfg.feature_dim))
     offsets *= separation / np.linalg.norm(offsets, axis=1, keepdims=True)
     prototypes = np.vstack([base, base + offsets])
-    universe_pts = rng.random((d_true, 2))
+    universe_pts = rng.random((cfg.d_true, 2))
 
-    n_out = int(round(outlier_fraction * d_true))
+    n_out = int(round(cfg.outlier_fraction * cfg.d_true))
     points, features, labels = [], [], []
-    for _ in range(k):
+    for _ in range(cfg.k):
         rot, shift, scale = _draw_transform(rng, "rigid")
         coords = scale * (universe_pts @ rot.T) + shift
         feats = prototypes + rng.normal(
-            scale=feature_noise_sigma, size=(d_true, feature_dim)
+            scale=cfg.feature_noise_sigma, size=(cfg.d_true, cfg.feature_dim)
         )
-        lab = np.arange(d_true, dtype=np.int64)
+        lab = np.arange(cfg.d_true, dtype=np.int64)
         if n_out:
             out_coords = rng.uniform(
                 coords.min(axis=0), coords.max(axis=0), size=(n_out, 2)
             )
-            out_feats = rng.normal(size=(n_out, feature_dim))
+            out_feats = rng.normal(size=(n_out, cfg.feature_dim))
             coords = np.vstack([coords, out_coords])
             feats = np.vstack([feats, out_feats])
             lab = np.concatenate([lab, np.full(n_out, OUTLIER, dtype=np.int64)])
@@ -210,6 +208,6 @@ def twin_prototype_instance(
         points=tuple(points),
         features=tuple(features),
         ground_truth=tuple(labels),
-        seed=seed,
+        seed=cfg.seed,
     )
 

@@ -707,8 +707,9 @@ def test_absent_switch_keeps_the_config_file_value(tmp_path, argv, name):
 
 
 class TestIntegerFields:
-    """A fractional or boolean value in an integer field is a data error naming
-    where it sits, never a silent truncation."""
+    """A fractional or boolean value in an integer field, or a boolean or
+    non-finite value in a float field, is a data error naming where it sits,
+    never a silent truncation."""
 
     @pytest.fixture
     def assignment_doc(self, problem_path, tmp_path):
@@ -770,8 +771,13 @@ class TestIntegerFields:
         ("solve", {"solver": {"max_iters": 2.5}}, "max_iters must be an integer, got 2.5"),
         ("solve", {"solver": {"max_iters": True}}, "max_iters must be an integer, got True"),
         ("bench", {"run": {"sizes": [40, 80.5]}}, "sizes[1] must be an integer, got 80.5"),
+        ("solve", {"kernel": {"sigma": True}}, "sigma must be a finite number, got True"),
+        ("solve", {"kernel": {"mu": float("inf")}}, "mu must be a finite number, got inf"),
+        ("generate", {"generate": {"k": 2, "d_true": 4, "visibility": True}},
+         "visibility must be a finite number, got True"),
     ], ids=["generate-k", "run-seed", "run-d", "solver-max-iters",
-            "solver-max-iters-bool", "run-sizes"])
+            "solver-max-iters-bool", "run-sizes", "kernel-sigma-bool", "kernel-mu-inf",
+            "generate-visibility-bool"])
     def test_config_file_field(self, problem_path, tmp_path, capsys, command, doc, message):
         argv = [command, "--config", self.write(tmp_path, doc), "--out", tmp_path / "x"]
         if command == "solve":
@@ -779,6 +785,11 @@ class TestIntegerFields:
         assert run(argv) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_non_finite_flag_value(self, problem_path, tmp_path, capsys):
+        assert run(["solve", "--problem", problem_path, "--sigma", "inf",
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert "sigma must be a finite number, got inf" in capsys.readouterr().err
 
     def test_integral_floats_in_the_config_file_are_accepted(self, problem_path, tmp_path):
         doc = {"run": {"d": 30.0, "seed": 1.0}, "solver": {"max_iters": 5.0}}

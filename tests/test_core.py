@@ -16,7 +16,9 @@ from hippi.core import (
     UniverseAssignment,
     expand,
 )
+from hippi.kernels import KernelConfig
 from hippi.solver import universe_size
+from hippi.synth import GenConfig, twin_prototype_instance
 
 from helpers import (
     block_dense,
@@ -96,6 +98,100 @@ def test_integer_arrays_are_checked_where_the_type_is_built(taker, kind):
     message = f"{name(*pos)} must be an integer, got {a[pos].item()!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(a)
+
+
+def _problem(k=2, **changes):
+    """A ProblemInstance of ``k`` two-point objects, from fresh arrays, with ``changes``."""
+    settings = dict(
+        points=tuple(np.arange(4.0).reshape(2, 2) + i for i in range(k)),
+        features=tuple(np.ones((2, 1)) for _ in range(k)),
+        ground_truth=tuple(np.array([0, 1]) for _ in range(k)),
+        seed=0,
+    )
+    return ProblemInstance(**{**settings, **changes})
+
+
+#: Each type that a caller compares: a builder from fresh arrays, and single-field changes.
+EQUALITY = {
+    "ProblemInstance": (_problem, {
+        "array-entry": dict(features=(np.ones((2, 1)), np.array([[1.0], [2.0]]))),
+        "seed": dict(seed=1),
+        "None-against-tuple": dict(ground_truth=None),
+        "tuple-against-None": dict(distances=(np.zeros((2, 2)),) * 2),
+        "tuple-of-another-length": dict(k=3),
+    }),
+    "UniverseAssignment": (
+        lambda **c: UniverseAssignment(
+            **{"assignment": np.array([0, 1, 1, 0]), "d": 2, "index": BlockIndex((2, 2)), **c}
+        ),
+        {
+            "array-entry": dict(assignment=np.array([1, 0, 1, 0])),
+            "d": dict(d=3),
+            "index": dict(index=BlockIndex((2, 1, 1))),
+        },
+    ),
+    "PairwiseMatchingSet": (
+        lambda **c: PairwiseMatchingSet(
+            **{"targets": np.array([[0, 0], [1, -1], [-1, -1], [0, 0]]),
+               "index": BlockIndex((2, 2)), **c}
+        ),
+        {
+            "array-entry": dict(targets=np.array([[0, 0], [1, -1], [-1, -1], [1, 0]])),
+            "index": dict(index=BlockIndex((3, 1))),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(EQUALITY))
+def test_equality_is_by_type_then_field_by_field(kind):
+    """A copy is ``==``; one changed field, or another type, is ``!=``; nothing is hashable."""
+    build, changes = EQUALITY[kind]
+    a = build()
+    assert a == build() and not a != build()
+    for change, fields in changes.items():
+        assert a != build(**fields) and build(**fields) != a, change
+    other = next(EQUALITY[o][0]() for o in EQUALITY if o != kind)
+    assert a.__eq__(other) is NotImplemented
+    assert a != other and not a == other
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+#: Each float setting, by id: the name its error gives, and a build that sets it to ``v``.
+FLOAT_SETTINGS = {
+    "sigma": ("sigma", lambda v: KernelConfig(sigma=v)),
+    "mu": ("mu", lambda v: KernelConfig(mu=v)),
+    **{
+        name: (name, lambda v, name=name: GenConfig(k=2, d_true=3, **{name: v}))
+        for name in ("visibility", "coord_noise_sigma", "feature_noise_sigma", "outlier_fraction")
+    },
+    "occlusion_rect": (
+        "occlusion_rect entry",
+        lambda v: GenConfig(k=2, d_true=3, occlusion_rect=(0.0, 0.0, v, 0.5)),
+    ),
+    "separation": ("separation", lambda v: twin_prototype_instance(2, 4, separation=v)),
+    **{
+        f"twin-{name}": (name, lambda v, name=name: twin_prototype_instance(2, 4, **{name: v}))
+        for name in ("feature_noise_sigma", "outlier_fraction")
+    },
+}
+
+
+@pytest.mark.parametrize("value", [True, np.inf, np.nan, "1.0"], ids=["bool", "inf", "nan", "str"])
+@pytest.mark.parametrize("setting", list(FLOAT_SETTINGS))
+def test_every_float_setting_is_the_core_float_rule(setting, value):
+    name, build = FLOAT_SETTINGS[setting]
+    message = f"{name} must be a finite number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+def test_int_float_settings_are_stored_as_floats():
+    kernel = KernelConfig(sigma=2, mu=1)
+    gen = GenConfig(k=2, d_true=3, visibility=1, outlier_fraction=0, occlusion_rect=(0, 0, 1, 1))
+    values = (kernel.sigma, kernel.mu, gen.visibility, gen.outlier_fraction, *gen.occlusion_rect)
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 class TestBlockIndex:

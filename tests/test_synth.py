@@ -1,5 +1,7 @@
 """Generator tests: determinism, planted truth, outlier/occlusion behaviour."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -275,13 +277,32 @@ def test_twin_instance_shuffles_point_order():
 
 
 def test_twin_instance_validation():
-    with pytest.raises(ValueError):
-        twin_prototype_instance(2, 5)  # odd universe
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d_true must be a positive even number, got 5$"):
+        twin_prototype_instance(2, 5)
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
         twin_prototype_instance(0, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^separation must be non-negative, got -0.1$"):
         twin_prototype_instance(2, 6, separation=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^outlier_fraction must be in \[0, 1\), got 1.0$"):
         twin_prototype_instance(2, 6, outlier_fraction=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^feature_dim must be >= 1, got 0$"):
         twin_prototype_instance(2, 6, feature_dim=0)
+    with pytest.raises(ValueError, match="^noise sigmas must be non-negative$"):
+        twin_prototype_instance(2, 6, feature_noise_sigma=-0.5)
+
+
+@pytest.mark.parametrize("args, settings, message", [
+    ((2.5, 6), {}, "k must be an integer, got 2.5"),
+    ((True, 6), {}, "k must be an integer, got True"),
+    ((3, 6.5), {}, "d_true must be an integer, got 6.5"),
+    ((3, 6), {"feature_dim": 2.5}, "feature_dim must be an integer, got 2.5"),
+    ((3, 6), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ((3, 6), {"seed": None}, "seed must be an integer, got None"),
+], ids=["k-fractional", "k-bool", "d_true-fractional", "feature_dim", "seed", "seed-None"])
+def test_twin_settings_are_checked_by_gen_config(args, settings, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        twin_prototype_instance(*args, **settings)
+
+
+def test_twin_instance_takes_integral_floats():
+    assert twin_prototype_instance(3.0, 6.0) == twin_prototype_instance(3, 6)
