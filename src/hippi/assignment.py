@@ -49,16 +49,18 @@ CENTRED_MIN_ROWS = 40
 _CENTRED_MAX_TOTAL = sys.float_info.max / 4
 
 
-def lap_exact(scores: np.ndarray) -> np.ndarray:
+def lap_exact(scores: np.ndarray, check_finite: bool = True) -> np.ndarray:
     """Exactly optimal injective assignment of rows to columns (maximising).
 
     Returns each row's column.  Raises ``ValueError`` when there are more rows
-    than columns or an entry is not finite (scipy would accept ``-inf``).
+    than columns or, with ``check_finite``, an entry is not finite (scipy
+    would accept ``-inf``).  A caller that has checked the scores already
+    passes ``check_finite=False``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] > scores.shape[1]:
         raise ValueError(f"need a 2-D score block with rows <= cols, got {scores.shape}")
-    if not np.isfinite(scores).all():
+    if check_finite and not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     # With rows <= cols every row is assigned, so the row indices come back as
     # 0..rows-1 and the column indices are already in row order.
@@ -67,10 +69,10 @@ def lap_exact(scores: np.ndarray) -> np.ndarray:
 
 
 def _solve_block(block: np.ndarray, positive: bool) -> np.ndarray:
-    """One block's columns: :func:`lap_exact` on the block, centred when that pays."""
+    """One finite block's columns: :func:`lap_exact` on the block, centred when that pays."""
     n, c = block.shape
     if not positive or n < CENTRED_MIN_ROWS or block.max() > _CENTRED_MAX_TOTAL / c:
-        return lap_exact(block)
+        return lap_exact(block, check_finite=False)
     keep = np.arange(c)
     if c > n:
         nth = np.partition(block, c - n, axis=1)[:, c - n : c - n + 1]
@@ -79,7 +81,7 @@ def _solve_block(block: np.ndarray, positive: bool) -> np.ndarray:
     square = np.zeros((keep.size, keep.size))
     np.subtract(block, block.mean(axis=1, keepdims=True), out=square[:n])
     square -= square.mean(axis=0)
-    return keep[lap_exact(square)[:n]]
+    return keep[lap_exact(square, check_finite=False)[:n]]
 
 
 def project_to_universe(
@@ -137,7 +139,11 @@ def project_to_universe(
         or (width and (columns[0] < 0 or columns[-1] >= d))
     ):
         raise ValueError(f"columns must be {width} ascending slots in [0, {d})")
-    positive = width >= largest and v.min() > 0
+    # One finiteness check per lift: the blocks' LAPs skip theirs.
+    lo, hi = (v.min(), v.max()) if v.size else (0.0, 0.0)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("scores must be finite")
+    positive = width >= largest and lo > 0
     pad = 0 if positive else min(d - width, largest)
     if pad:
         # The first ``width + pad`` slots hold at least ``pad`` empty ones.

@@ -23,6 +23,7 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
+from scipy.sparse import csr_array
 
 #: Ground-truth label for points that correspond to no universe point.
 OUTLIER = -1
@@ -30,8 +31,9 @@ OUTLIER = -1
 #: Tile side of the symmetry check, and rows per block of the finiteness check.
 SYMMETRY_TILE = 256
 
-#: Rows of ``W`` per block in :meth:`SimilarityMatrix.gather`; a block holds ``32 m`` floats.
-GATHER_ROWS = 32
+#: Entries of one product in :meth:`SimilarityMatrix.gather` (1 MB of floats),
+#: or one row of ``W`` when a row is longer.
+GATHER_ENTRIES = 1 << 17
 
 
 def _owned(a, dtype) -> np.ndarray:
@@ -326,12 +328,22 @@ class SimilarityMatrix:
     def gather(self, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """``W @ U`` on the occupied slots; ``order`` and ``starts`` are from ``slot_runs``.
 
-        By blocks of :data:`GATHER_ROWS` rows, whose permuted columns stay in cache.
+        ``W`` is exactly symmetric, so a slot's column is the sum of its points'
+        rows, which are contiguous reads.  The rows are added left to right in
+        ``order``, bit for bit as ``acc += W[q]`` point by point: for as many
+        slots at a time as fill :data:`GATHER_ENTRIES`, a 0/1 CSR matrix picks
+        their points' rows, and scipy's CSR-dense product adds each picked row
+        into its slot's row of the result in that order.
         """
         out = np.empty((self.m, starts.size))
-        for r in range(0, self.m, GATHER_ROWS):
-            rows = slice(r, r + GATHER_ROWS)
-            out[rows] = np.add.reduceat(self.data[rows, order], starts, axis=1)
+        bounds = np.append(starts, order.size)
+        step = max(1, GATHER_ENTRIES // self.m)
+        for s in range(0, starts.size, step):
+            ptr = bounds[s : s + step + 1]
+            members = order[ptr[0] : ptr[-1]]
+            shape = (ptr.size - 1, self.m)
+            picks = csr_array((np.ones(members.size), members, ptr - ptr[0]), shape)
+            out[:, s : s + shape[0]] = (picks @ self.data).T
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ are positive semidefinite, which the solver's monotonicity guarantee relies on.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +26,12 @@ WEIGHT_MODES = ("constant", "intra-ratio")
 #: Relative tolerance on the smallest eigenvalue of an adjacency block.
 PSD_TOL = 1e-8
 
-#: Rows of ``W`` per block in the in-place passes over it; a block's
-#: temporaries hold ``64 m`` floats.
+#: Rows per block in the blocked passes: the build of ``W``, ``_nearest``.
 BLOCK_ROWS = 64
+
+#: Entries per work array of the in-place passes (a mask, an outer product):
+#: 64 KB of floats, so a thread's temporaries stay small whatever ``m`` is.
+WORK_ENTRIES = 1 << 13
 
 
 class DegenerateGeometryError(ValueError):
@@ -58,11 +63,21 @@ class KernelConfig:
 
 
 def _gaussian(dist: np.ndarray, scale: float) -> np.ndarray:
-    """``exp(-dist**2 / scale)``, computed in place in ``dist``, which it returns."""
+    """``exp(-dist**2 / scale)``, computed in place in ``dist``, which it returns.
+
+    Subnormal results are flushed to 0: products with them run many times
+    slower, and they are below every other entry's rounding.
+    """
     np.square(dist, out=dist)
     np.negative(dist, out=dist)
     dist /= scale
-    return np.exp(dist, out=dist)
+    np.exp(dist, out=dist)
+    # By chunks of rows of about WORK_ENTRIES entries, each with its own mask.
+    step = max(1, WORK_ENTRIES // max(dist[:1].size, 1))
+    for r in range(0, len(dist), step):
+        part = dist[r : r + step]
+        part[part < np.finfo(np.float64).tiny] = 0.0
+    return dist
 
 
 def _nearest(dist: np.ndarray) -> np.ndarray:
@@ -79,15 +94,20 @@ def _nearest(dist: np.ndarray) -> np.ndarray:
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
     """Cross-object similarity matrix from feature descriptors.
 
-    One ``cdist`` over all descriptors gives every entry.  The kernel and the
-    weights are then applied in place, the weights row block by row block,
-    and the diagonal blocks are zeroed.  The finished array is frozen so that
-    :class:`SimilarityMatrix` adopts it: a build holds no ``m x m`` float
-    array beyond ``W`` itself.
+    ``W`` is built by blocks of :data:`BLOCK_ROWS` rows, each written in
+    place: its ``cdist`` rows, the kernel, the weights, then the zeroing of
+    its rows of the diagonal blocks.  The blocks run on one thread per CPU
+    the process may use (``cdist`` and the ufuncs release the GIL); each
+    writes only its own rows with per-entry arithmetic, so ``W`` is the same
+    bit for bit whatever the thread count.  The finished array is frozen so
+    that :class:`SimilarityMatrix` adopts it: a build holds no ``m x m``
+    float array beyond ``W`` itself, and each thread's work arrays hold at
+    most :data:`WORK_ENTRIES` entries (or one row).
     """
     idx = instance.index
     features = np.concatenate(instance.features)
-    w = _gaussian(cdist(features, features), 2.0 * config.sigma**2)
+    scale = 2.0 * config.sigma**2
+    trust = None
     if config.weight_mode == "intra-ratio":
         # Down-weight descriptors that have a near-duplicate within their own
         # object: u_p = 1 - exp(-r_p^2 / 2 sigma^2) with r_p the nearest
@@ -95,12 +115,25 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
         # decreasing in intra-object proximity, 1 for isolated descriptors.
         # The exact functional form is this library's choice.
         nearest = np.concatenate([_nearest(squareform(pdist(f))) for f in instance.features])
-        trust = 1.0 - _gaussian(nearest, 2.0 * config.sigma**2)
-        for r in range(0, idx.m, BLOCK_ROWS):
-            rows = slice(r, r + BLOCK_ROWS)
-            w[rows] *= np.outer(trust[rows], trust)
-    for i in range(idx.k):
-        w[idx.slice_of(i), idx.slice_of(i)] = 0.0
+        trust = 1.0 - _gaussian(nearest, scale)
+    w, owner = np.empty((idx.m, idx.m)), idx.owner
+
+    def fill(r: int) -> None:
+        rows = slice(r, min(r + BLOCK_ROWS, idx.m))
+        block = w[rows]
+        _gaussian(cdist(features[rows], features, out=block), scale)
+        if trust is not None:
+            step = max(1, WORK_ENTRIES // idx.m)
+            for c in range(rows.start, rows.stop, step):
+                part = slice(c, min(c + step, rows.stop))
+                w[part] *= np.outer(trust[part], trust)
+        for i in range(owner[rows.start], owner[rows.stop - 1] + 1):
+            own = idx.slice_of(i)
+            w[max(own.start, rows.start) : min(own.stop, rows.stop), own] = 0.0
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(cpus) as pool:
+        list(pool.map(fill, range(0, idx.m, BLOCK_ROWS)))
     w.setflags(write=False)
     return SimilarityMatrix(data=w, index=idx)
 

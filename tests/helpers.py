@@ -76,12 +76,20 @@ def block(w: SimilarityMatrix, i: int, j: int) -> np.ndarray:
     return w.data[w.index.slice_of(i), w.index.slice_of(j)]
 
 
+def row_sum(w: np.ndarray, members) -> np.ndarray:
+    """The sum of ``w``'s rows ``members``, added left to right one row at a time."""
+    acc = w[members[0]].copy()
+    for q in members[1:]:
+        acc += w[q]
+    return acc
+
+
 class PlainSimilarity:
     """A symmetric ``W`` for ``WbarOperator`` without :class:`SimilarityMatrix`'s checks.
 
     For tests whose ``W`` has negative entries or non-zero diagonal blocks.
-    ``gather`` is the one-pass ``reduceat`` over all of ``W``'s permuted
-    columns (as in :func:`unblocked_gather`) and ``@`` a plain product.
+    ``gather`` adds each slot's rows of ``W`` one point at a time, in
+    ``order`` (as in :func:`unblocked_gather`), and ``@`` is a plain product.
     """
 
     def __init__(self, w, index: BlockIndex):
@@ -89,7 +97,8 @@ class PlainSimilarity:
         self.index = index
 
     def gather(self, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.w[:, order], starts, axis=1)
+        slots = np.split(order, starts[1:])
+        return np.column_stack([row_sum(self.w, members) for members in slots])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.w @ x
@@ -311,14 +320,14 @@ def gaussian_psd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def unblocked_gather(w: np.ndarray, assignment: np.ndarray, d: int) -> np.ndarray:
-    """``W @ U`` by one ``reduceat`` over all of ``W``'s permuted columns."""
-    counts = np.bincount(assignment, minlength=d)
-    order = np.argsort(assignment, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    nonempty = counts > 0
+    """``W @ U`` over all ``d`` slots: each slot's rows of the symmetric ``W``,
+    added left to right in ascending point order, one point at a time; an
+    empty slot's column is zero."""
     out = np.zeros((w.shape[0], d))
-    if nonempty.any():
-        out[:, nonempty] = np.add.reduceat(w[:, order], starts[nonempty], axis=1)
+    for slot in range(d):
+        members = np.flatnonzero(assignment == slot)
+        if members.size:
+            out[:, slot] = row_sum(w, members)
     return out
 
 

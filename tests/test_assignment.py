@@ -37,6 +37,32 @@ def test_lap_exact_rejects_non_finite():
             lap_exact(np.array([[1.0, bad]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("positive", [True, False])
+def test_projection_checks_the_whole_lift_once(monkeypatch, bad, positive):
+    """A non-finite score in the last block raises before any block is solved,
+    and the blocks' LAPs do not check again."""
+    rng = np.random.default_rng(53)
+    index = BlockIndex(sizes=(3, CENTRED_MIN_ROWS, 4))
+    v = rng.uniform(0.5, 1.0, size=(index.m, CENTRED_MIN_ROWS + 3))
+    if not positive:
+        v[0, 0] = 0.0
+    checks = []
+    solve = assignment.lap_exact
+
+    def recording(scores, check_finite=True):
+        checks.append(check_finite)
+        return solve(scores, check_finite=check_finite)
+
+    monkeypatch.setattr(assignment, "lap_exact", recording)
+    project_every_slot(v, index)
+    assert checks == [False] * index.k
+    v[-1, -1] = bad
+    with pytest.raises(ValueError, match="scores must be finite"):
+        project_every_slot(v, index)
+    assert len(checks) == index.k
+
+
 def test_exact_picks_diagonal_on_anti_identity_scores():
     assert lap_exact(np.array([[5.0, 1.0], [1.0, 5.0]])).tolist() == [0, 1]
 
@@ -155,9 +181,9 @@ def lap_inputs(monkeypatch) -> list[np.ndarray]:
     inputs = []
     solve = assignment.lap_exact
 
-    def recording(scores):
+    def recording(scores, *args, **kwargs):
         inputs.append(np.array(scores))
-        return solve(scores)
+        return solve(scores, *args, **kwargs)
 
     monkeypatch.setattr(assignment, "lap_exact", recording)
     return inputs

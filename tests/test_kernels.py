@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hippi import kernels
 from hippi.cli import bench_instance
 from hippi.core import BlockIndex, MultiAdjacency, ProblemInstance
 from hippi.kernels import (
+    BLOCK_ROWS,
     DegenerateGeometryError,
     KernelConfig,
     assert_psd,
@@ -74,6 +76,37 @@ class TestBuildSimilarity:
         w = build_similarity(inst, KernelConfig(sigma=sigma, weight_mode=weight_mode))
         expected = pairwise_similarity(inst, sigma, weight_mode)
         assert np.array_equal(w.data.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("workers", [1, None, 3])
+    @pytest.mark.parametrize("weight_mode", ["constant", "intra-ratio"])
+    def test_row_blocks_build_the_per_pair_w_whatever_the_thread_count(
+        self, monkeypatch, weight_mode, workers
+    ):
+        """Several row blocks, objects across block edges and 1-point objects; one
+        worker, the default count of one per allowed CPU, and three."""
+        if workers is not None:
+            monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(workers)))
+        rng = np.random.default_rng(17)
+        sizes = (1, 62, 1, 70, 1, 1, 50, 29)  # m = 215; block edges at 64, 128, 192
+        assert sum(sizes) > 3 * BLOCK_ROWS
+        inst = ProblemInstance(
+            points=tuple(rng.normal(size=(s, 2)) for s in sizes),
+            features=tuple(rng.normal(size=(s, 6)) for s in sizes),
+        )
+        w = build_similarity(inst, KernelConfig(sigma=0.9, weight_mode=weight_mode))
+        expected = pairwise_similarity(inst, 0.9, weight_mode)
+        assert np.array_equal(w.data.view(np.int64), expected.view(np.int64))
+
+    def test_subnormal_scores_are_flushed_to_zero(self):
+        """``exp(-720)`` is subnormal and becomes 0; ``exp(-700)`` is normal and stays."""
+        inst = ProblemInstance(
+            points=(np.zeros((1, 2)), np.ones((1, 2)), 2 * np.ones((1, 2))),
+            features=(np.zeros((1, 1)), np.sqrt([[1400.0]]), np.sqrt([[1440.0]])),
+        )
+        w = build_similarity(inst, KernelConfig(sigma=1.0)).data
+        assert w[0, 1] == pytest.approx(np.exp(-700.0), rel=1e-9)
+        assert 0.0 < np.exp(-720.0) < np.finfo(np.float64).tiny
+        assert w[0, 2] == 0.0
 
     def test_invariant_under_point_reordering(self):
         rng = np.random.default_rng(1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hippi import solver
+from hippi import core, solver
 from hippi.baselines import random_init
 from hippi.cli import bench_instance
 from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAssignment, expand
@@ -93,20 +93,51 @@ def test_gather_handles_empty_universe_slots():
     assert np.all(direct[:, [1, 2, 3]] == 0.0)
 
 
-@pytest.mark.parametrize("m", [1, 31, 32, 33, 97])
-def test_row_blocked_gather_is_bit_identical_to_one_pass(m):
-    rng = np.random.default_rng(m)
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("slots", [1, 31, 32, 33, 97])
+def test_row_blocked_gather_is_bit_identical_to_one_pass(monkeypatch, slots):
+    """Each slot's column is its points' rows added left to right, one point at a
+    time, bit for bit, with products of 32 slots and occupied slots on both sides."""
+    rng = np.random.default_rng(slots)
     # One point per object, so any slot may hold several points.
-    index = BlockIndex((1,) * m)
+    index = BlockIndex((1,) * (slots + 40))
+    monkeypatch.setattr(core, "GATHER_ENTRIES", 32 * index.m)
     w = uniform_similarity(rng, index)
-    d = m + 7
-    assignment = rng.choice(d, size=m, replace=True)
-    assignment[: min(m, 3)] = 0  # a shared slot; at least seven slots stay empty
+    d = slots + 7  # at least seven slots stay empty
+    occupied = rng.choice(d, size=slots, replace=False)
+    extra = np.concatenate([rng.choice(occupied, size=20), np.full(20, occupied[0])])
+    assignment = rng.permutation(np.concatenate([occupied, extra]))
     u = UniverseAssignment(assignment, d=d, index=index)
     order, starts, occupied = u.slot_runs
+    assert starts.size == slots
     got = w.gather(order, starts)
     want = unblocked_gather(w.data, assignment, d)[:, occupied]
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_a_slot_column_depends_only_on_its_own_members(monkeypatch):
+    """Moving other slots' points, and so the slot's position among the occupied
+    ones and its product of slots, leaves the slot's column of ``W U`` the same
+    bit for bit."""
+    rng = np.random.default_rng(61)
+    index = BlockIndex((1,) * 150)
+    monkeypatch.setattr(core, "GATHER_ENTRIES", 16 * index.m)
+    w = uniform_similarity(rng, index)
+    d = 40
+    kept = rng.choice(index.m, size=50, replace=False)
+    for trial in range(4):
+        assignment = rng.choice(np.arange(d), size=index.m, replace=True)
+        assignment[assignment == 17] = d - 1 - trial  # only ``kept`` sits in slot 17
+        assignment[kept] = 17
+        u = UniverseAssignment(assignment, d=d, index=index)
+        order, starts, occupied = u.slot_runs
+        column = w.gather(order, starts)[:, np.searchsorted(occupied, 17)]
+        if trial == 0:
+            first = column
+        assert np.array_equal(bits(column), bits(first))
 
 
 def test_operator_validation():
