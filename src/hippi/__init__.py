@@ -34,11 +34,11 @@ from hippi.metrics import (
     verify_cycle_consistency,
 )
 from hippi.solver import (
+    Iterate,
     SolverConfig,
     SolverTrace,
     WbarOperator,
     hippi_solve,
-    iterates,
     objective,
     universe_size,
 )
@@ -57,6 +57,7 @@ __all__ = [
     "DegenerateGeometryError",
     "GenConfig",
     "GenerationError",
+    "Iterate",
     "KernelConfig",
     "MatchReport",
     "MultiAdjacency",
@@ -78,7 +79,6 @@ __all__ = [
     "generate",
     "greedy_init",
     "hippi_solve",
-    "iterates",
     "lap_exact",
     "objective",
     "pairwise_lap_matchings",

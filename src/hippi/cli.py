@@ -30,11 +30,11 @@ from hippi.core import ProblemInstance, as_integer, expand, integer_fields
 from hippi.kernels import WEIGHT_MODES, KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
+    Iterate,
     SolverConfig,
     SolverTrace,
     WbarOperator,
     hippi_solve,
-    iterates,
     objective,
     universe_size,
 )
@@ -290,11 +290,13 @@ def bench_ladder(cfg: RunConfig) -> list[dict]:
         d = universe_size(p.index, cfg.d)
         op = _prepare_operator(cfg, p)
         u0 = random_init(p.index, d, cfg.seed)
-        steps = iterates(op, u0)
-        next(steps)  # warm-up
+        it = Iterate(op, u0)
+        it.objective  # warm-up
         tic = time.perf_counter()
         for _ in range(cfg.bench_iters):
-            next(steps)
+            # A repeated iterate is applied too, so every step times the same work.
+            it = it.successor()
+            it.objective
         per_iter = (time.perf_counter() - tic) / cfg.bench_iters
         tic = time.perf_counter()
         _, trace = hippi_solve(op, u0, cfg.solver)
@@ -325,7 +327,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
     for row in rows:
         print(" ".join(f"{key}={row[key]}" for key in columns))
-    if len(rows) >= 2:
+    if len({r["m"] for r in rows}) >= 2:  # a slope needs two distinct sizes
         exponent = fit_scaling_exponent(
             [r["m"] for r in rows], [r["seconds_per_iteration"] for r in rows]
         )

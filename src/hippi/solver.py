@@ -5,7 +5,7 @@ universe assignments ``U``, where ``Wb = W^T A W`` couples the inter-object
 similarity ``W`` with the block-diagonal intra-object adjacency ``A``.  Each
 iteration lifts the current assignment through ``V = Wb U (U^T Wb U)`` and
 projects ``V`` back onto the assignment set with per-block LAPs; that step is
-:func:`iterates`.  When ``Wb`` is positive semidefinite the objective never
+:class:`Iterate`.  When ``Wb`` is positive semidefinite the objective never
 decreases, and because the feasible set is finite the sequence stalls after
 finitely many steps.  The solver stops at the first iterate whose assignment
 it has seen before: a fixed point ``U_{t+1} = U_t``, or a cycle, whose
@@ -31,8 +31,8 @@ kind of ``W`` plugs in as one type.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class SolverTrace:
         return int(self.objectives.size)
 
 
-def _pool_rows(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``U^T @ X`` on the occupied slots: add X's rows into their slots."""
-    return np.add.reduceat(x[order], starts, axis=0)
-
-
 class WbarOperator:
     """Matrix-free ``Wb = W^T A W``; ``adjacency=None`` means ``A = I``.
 
@@ -117,45 +112,44 @@ class WbarOperator:
         return self.similarity @ wu
 
 
-def _evaluate(wbar: WbarOperator, u: UniverseAssignment) -> tuple[np.ndarray, np.ndarray, float]:
-    """One operator application: ``Wb U`` and ``U^T Wb U`` on the occupied slots, and ``f(U)``.
+class Iterate:
+    """One step of the power iteration: ``U_t``, then lazily ``f(U_t)`` and ``U_{t+1}``.
 
-    ``f`` is summed over the ``d_occ x d_occ`` matrix of the occupied slots;
-    an empty slot adds nothing, so ``f`` and its rounding do not depend on ``d``.
+    ``Wb`` is applied to :attr:`u` at most once, on the first read of
+    :attr:`objective` or :meth:`successor`; ``Wb U`` and ``U^T Wb U`` are kept
+    on the occupied slots.  ``f`` is summed over that ``d_occ x d_occ`` matrix,
+    so an empty slot adds nothing and ``f`` and its rounding do not depend on
+    ``d``.  Every walk of the iteration goes through this step.
     """
-    order, starts, _ = u.slot_runs
-    p = wbar.times_assignment(u)
-    mid = _pool_rows(p, order, starts)
-    return p, mid, float((mid * mid.T).sum())
 
+    def __init__(self, wbar: WbarOperator, u: UniverseAssignment):
+        self.wbar = wbar
+        self.u = u
 
-def _project(u: UniverseAssignment, p: np.ndarray, mid: np.ndarray) -> UniverseAssignment:
-    """The next iterate: the lift ``Wb U (U^T Wb U)`` on the occupied slots, projected."""
-    return project_to_universe(p @ mid, u.index, columns=u.slot_runs[2], d=u.d)
+    @cached_property
+    def _applied(self) -> tuple[np.ndarray, np.ndarray]:
+        order, starts, _ = self.u.slot_runs
+        p = self.wbar.times_assignment(self.u)
+        return p, np.add.reduceat(p[order], starts, axis=0)  # U^T p: rows added into slots
 
+    @cached_property
+    def objective(self) -> float:
+        """``f(U_t) = ||U^T Wb U||_F^2``."""
+        mid = self._applied[1]
+        return float((mid * mid.T).sum())
 
-def iterates(
-    wbar: WbarOperator, u: UniverseAssignment
-) -> Iterator[tuple[UniverseAssignment, float]]:
-    """The power iteration from ``u``: yields ``(U_t, f(U_t))`` for t = 0, 1, ...
-
-    The lift ``Wb U_t (U_t^T Wb U_t)`` is formed and projected to ``U_{t+1}``
-    only when the next item is requested, so a consumer that stops after
-    ``U_t`` pays for no extra projection.  The sequence never ends on its own.
-    """
-    while True:
-        p, mid, f = _evaluate(wbar, u)
-        yield u, f
-        u = _project(u, p, mid)
+    def successor(self) -> Iterate:
+        """``U_{t+1}``: the lift ``Wb U (U^T Wb U)`` on the occupied slots, projected."""
+        p, mid = self._applied
+        u = self.u
+        return Iterate(
+            self.wbar, project_to_universe(p @ mid, u.index, columns=u.slot_runs[2], d=u.d)
+        )
 
 
 def objective(wbar: WbarOperator, u: UniverseAssignment) -> float:
     """``f(U) = ||U^T Wb U||_F^2``, evaluated through gather/scatter products."""
-    return _evaluate(wbar, u)[2]
-
-
-def _digest(u: UniverseAssignment) -> bytes:
-    return hashlib.blake2b(u.assignment, digest_size=16).digest()
+    return Iterate(wbar, u).objective
 
 
 def hippi_solve(
@@ -168,30 +162,26 @@ def hippi_solve(
     Returns the final assignment together with a trace holding one objective
     value per iterate.  The run stops at the first iterate equal to an earlier
     one, a fixed point or a cycle, and then ``converged`` is True; hitting
-    ``max_iters`` first leaves it False.  A repeated iterate is recognised as
-    soon as the projection returns it, so the operator is never applied to it:
-    its trace entry is the objective recorded when it was first evaluated,
-    which the same assignment reproduces bit for bit.  The steps are those of
-    :func:`iterates`.  One 16-byte digest and one float are kept per iterate,
-    so the check costs O(iterations) memory whatever ``m`` is.
+    ``max_iters`` first leaves it False.  Each :class:`Iterate` is digested
+    before its objective is read, so the operator is never applied to a
+    repeated iterate: its trace entry is the objective recorded when it was
+    first evaluated, which the same assignment reproduces bit for bit.  One
+    16-byte digest and one float are kept per iterate, so the check costs
+    O(iterations) memory whatever ``m`` is.
     """
     config = config or SolverConfig()
     objectives: list[float] = []
     seen: dict[bytes, float] = {}
-    u = u0
+    it = Iterate(wbar, u0)
     while True:
-        digest = _digest(u)
+        digest = hashlib.blake2b(it.u.assignment, digest_size=16).digest()
         converged = digest in seen
-        if converged:
-            f = seen[digest]
-        else:
-            p, mid, f = _evaluate(wbar, u)
-            seen[digest] = f
-        objectives.append(f)
+        if not converged:
+            seen[digest] = it.objective
+        objectives.append(seen[digest])
         if converged or len(objectives) == config.max_iters:
-            break
-        u = _project(u, p, mid)
-    return u, SolverTrace(objectives=np.asarray(objectives), converged=converged)
+            return it.u, SolverTrace(objectives=np.asarray(objectives), converged=converged)
+        it = it.successor()
 
 
 def universe_size(index: BlockIndex, d: int | None = None) -> int:

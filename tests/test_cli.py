@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hippi import cli, io, metrics
+from hippi import cli, io, metrics, solver
 from hippi.core import ProblemInstance, UniverseAssignment, expand
 from hippi.kernels import WEIGHT_MODES
 from hippi.synth import TRANSFORM_FAMILIES
@@ -565,6 +565,40 @@ class TestBench:
         header, *rows = (out / "bench.csv").read_text().splitlines()
         assert header.split(",")[-2:] == ["solve_seconds", "iterations"]
         assert len(rows) == 2 and all(int(row.split(",")[-1]) >= 1 for row in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_exponent_from_one_distinct_size(self, tmp_path, capsys):
+        """Two rungs of one size leave the slope undetermined, so none is fitted."""
+        code = run(["bench", "--sizes", "40,40", "--points-per-object", "4",
+                    "--iters", "1", "--out", tmp_path])
+        assert code == cli.EXIT_OK
+        assert len((tmp_path / "bench.csv").read_text().splitlines()) == 3
+        assert "fitted exponent" not in capsys.readouterr().out
+
+    def test_ladder_times_one_apply_and_projection_per_step(self, monkeypatch):
+        """Per rung: one warm-up apply, an apply and a projection per timed step,
+        whether or not the iterate repeats, then the solve's own work."""
+        counts = {"applies": 0, "projections": 0}
+        apply, project = solver.WbarOperator.times_assignment, solver.project_to_universe
+
+        def counting_apply(self, u):
+            counts["applies"] += 1
+            return apply(self, u)
+
+        def counting_project(*args, **kwargs):
+            counts["projections"] += 1
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(solver.WbarOperator, "times_assignment", counting_apply)
+        monkeypatch.setattr(solver, "project_to_universe", counting_project)
+        iters = 5
+        rows = cli.bench_ladder(cli.RunConfig(
+            command="bench", sizes=(40, 80), points_per_object=4, bench_iters=iters))
+        assert rows[0]["iterations"] <= iters  # rung 40 repeats inside the timed steps
+        assert counts == {
+            "applies": sum(1 + iters + row["iterations"] - 1 for row in rows),
+            "projections": sum(iters + row["iterations"] - 1 for row in rows),
+        }
 
     def test_indivisible_sizes_are_data_errors(self, tmp_path):
         assert run(["bench", "--sizes", "41", "--points-per-object", "4",

@@ -12,10 +12,10 @@ from hippi.core import BlockIndex, MultiAdjacency, SimilarityMatrix, UniverseAss
 from hippi.kernels import KernelConfig, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
+    Iterate,
     SolverConfig,
     WbarOperator,
     hippi_solve,
-    iterates,
     objective,
     universe_size,
 )
@@ -226,17 +226,26 @@ def test_objective_invariant_under_column_relabelling():
     assert objective(op, u) == objective(op, relabelled)
 
 
-def test_step_agrees_with_solver_first_iteration():
+def test_step_agrees_with_solver_first_iteration(monkeypatch):
+    """An iterate applies the operator once, for its objective and its successor
+    together, and gives the solver's objectives bit for bit."""
     rng = np.random.default_rng(19)
     sizes = (3, 3)
     op = integer_operator(rng, sizes)
     u0 = random_assignment(rng, sizes, 4)
-    steps = iterates(op, u0)
-    (first, f0), (u1, f1) = next(steps), next(steps)
     _, trace = hippi_solve(op, u0, SolverConfig(max_iters=2))
-    assert first is u0
+    f_u0 = objective(op, u0)
+    applied = count_applies(monkeypatch)
+    first = Iterate(op, u0)
+    f0 = first.objective
+    second = first.successor()
+    assert applied == [u0]
+    f1 = second.objective
+    assert len(applied) == 2
+    assert first.u is u0
+    assert np.float64(f0).tobytes() == np.float64(f_u0).tobytes()
     assert [f0, f1] == trace.objectives.tolist()
-    assert objective(op, u1) == f1
+    assert objective(op, second.u) == f1
 
 
 def test_solve_projects_only_between_evaluated_iterates(monkeypatch):
@@ -371,8 +380,7 @@ def test_fast_paths_match_dense_oracle(sizes, extra, with_adjacency, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "project_to_universe", capture)
-        steps = iterates(op, u)
-        next(steps), next(steps)
+        Iterate(op, u).successor()
     _assert_close(objective(op, u), float((mid * mid).sum()))
     _assert_close(lifts[0], wbar @ dense_u @ mid)
 
