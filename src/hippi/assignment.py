@@ -35,7 +35,7 @@ import sys
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from hippi.core import BlockIndex, UniverseAssignment
+from hippi.core import BlockIndex, UniverseAssignment, finite_extremes
 
 #: Fewest rows for which a positive block is solved in its centred square form.
 #: On lift blocks of ``bench_instance`` the plain solve took 13.5 ms at 32 rows
@@ -53,15 +53,15 @@ def lap_exact(scores: np.ndarray, check_finite: bool = True) -> np.ndarray:
     """Exactly optimal injective assignment of rows to columns (maximising).
 
     Returns each row's column.  Raises ``ValueError`` when there are more rows
-    than columns or, with ``check_finite``, an entry is not finite (scipy
-    would accept ``-inf``).  A caller that has checked the scores already
-    passes ``check_finite=False``.
+    than columns or, with ``check_finite``, names the first row that holds a NaN
+    or an infinity (``scores row 3 is not finite``; scipy would accept ``-inf``).
+    A caller that has checked the scores already passes ``check_finite=False``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] > scores.shape[1]:
         raise ValueError(f"need a 2-D score block with rows <= cols, got {scores.shape}")
-    if check_finite and not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
+    if check_finite:
+        finite_extremes(scores, lambda r: f"scores row {r}")
     # With rows <= cols every row is assigned, so the row indices come back as
     # 0..rows-1 and the column indices are already in row order.
     _, col_ind = linear_sum_assignment(scores, maximize=True)
@@ -140,9 +140,7 @@ def project_to_universe(
     ):
         raise ValueError(f"columns must be {width} ascending slots in [0, {d})")
     # One finiteness check per lift: the blocks' LAPs skip theirs.
-    lo, hi = (v.min(), v.max()) if v.size else (0.0, 0.0)
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError("scores must be finite")
+    lo, _ = finite_extremes(v, lambda g: f"object {index.owner[g]} row {index.local[g]}: score")
     positive = width >= largest and lo > 0
     pad = 0 if positive else min(d - width, largest)
     if pad:

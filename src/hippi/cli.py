@@ -26,7 +26,7 @@ import numpy as np
 
 from hippi import io
 from hippi.baselines import greedy_init, pairwise_lap_matchings, random_init, spectral_sync
-from hippi.core import ProblemInstance, as_integer, expand, integer_fields
+from hippi.core import ProblemInstance, UniverseAssignment, as_integer, expand, integer_fields
 from hippi.kernels import WEIGHT_MODES, KernelConfig, assert_psd, build_adjacency, build_similarity
 from hippi.metrics import fscore, verify_cycle_consistency
 from hippi.solver import (
@@ -61,7 +61,6 @@ class RunConfig:
     problem: str | None = None
     assignment: str | None = None
     pairwise: str | None = None
-    external: str | None = None
     out: str = "."
     method: str = "hippi"
     init: str = "random"
@@ -156,10 +155,14 @@ def _prepare_operator(cfg: RunConfig, p: ProblemInstance) -> WbarOperator:
     return WbarOperator(w, a)
 
 
-def _matching_file(load, path, index):
-    """``load(path)``, rejected unless its objects are the problem's (``index``)."""
-    x = load(path)
-    io.check_sizes(path, x.index.sizes, index.sizes, "the problem has")
+def _saved_matching(cfg: RunConfig, index=None):
+    """The one file ``--assignment`` or ``--pairwise`` names; with ``index``, the problem's."""
+    if (cfg.assignment is None) == (cfg.pairwise is None):
+        raise ValueError(f"{cfg.command} needs exactly one of --assignment and --pairwise")
+    path = cfg.pairwise if cfg.assignment is None else cfg.assignment
+    x = (io.load_pairwise if cfg.assignment is None else io.load_assignment)(path)
+    if index is not None:
+        io.check_sizes(path, x.index.sizes, index.sizes, "the problem has")
     return x
 
 
@@ -176,9 +179,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     p = io.load_problem(cfg.problem)
     external = None  # a saved assignment, so methods not implemented here can be compared
     if cfg.method == "external-file":
-        if cfg.external is None:
-            raise ValueError("method external-file needs --external")
-        external = _matching_file(io.load_assignment, cfg.external, p.index)
+        external = _saved_matching(cfg, p.index)
+        if not isinstance(external, UniverseAssignment):
+            raise ValueError("method external-file reads --assignment, not a pairwise file")
     d = universe_size(p.index, cfg.d) if external is None else external.d
     op = _prepare_operator(cfg, p)
     started = time.perf_counter()
@@ -217,14 +220,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     p = io.load_problem(cfg.problem)
     if p.ground_truth is None:
         raise ValueError("problem file has no ground truth to evaluate against")
-    if cfg.pairwise is not None:
-        predicted = _matching_file(io.load_pairwise, cfg.pairwise, p.index)
-        d = 0  # not defined for a raw pairwise set
-    elif cfg.assignment is not None:
-        predicted = _matching_file(io.load_assignment, cfg.assignment, p.index)
-        d = predicted.d
-    else:
-        raise ValueError("eval needs --assignment or --pairwise")
+    predicted = _saved_matching(cfg, p.index)
+    d = predicted.d if isinstance(predicted, UniverseAssignment) else 0  # none for pairwise
     started = time.perf_counter()
     report = fscore(predicted, p.ground_truth)
     runtime = time.perf_counter() - started
@@ -247,13 +244,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.pairwise is not None:
-        ms = io.load_pairwise(cfg.pairwise)
-    elif cfg.assignment is not None:
-        ms = expand(io.load_assignment(cfg.assignment))
-    else:
-        raise ValueError("verify needs --assignment or --pairwise")
-    report = verify_cycle_consistency(ms)
+    ms = _saved_matching(cfg)
+    report = verify_cycle_consistency(expand(ms) if isinstance(ms, UniverseAssignment) else ms)
     print(
         f"identity={report.identity} symmetry={report.symmetry} "
         f"transitivity={report.transitivity} cycle_error={report.cycle_error!r}"
@@ -382,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--weight-mode", dest="weight_mode", choices=WEIGHT_MODES)
     slv.add_argument("--max-iters", dest="max_iters", type=int)
     slv.add_argument("--strict-psd", dest="strict_psd", action="store_true", default=None)
-    slv.add_argument("--external", help="assignment file for the external-file method")
+    slv.add_argument("--assignment", help="assignment file for the external-file method")
 
     ev = sub.add_parser("eval", help="score an assignment against ground truth")
     common(ev)

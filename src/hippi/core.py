@@ -28,8 +28,11 @@ from scipy.sparse import csr_array
 #: Ground-truth label for points that correspond to no universe point.
 OUTLIER = -1
 
-#: Tile side of the symmetry check, and rows per block of the finiteness check.
+#: Tile side of the symmetry check.
 SYMMETRY_TILE = 256
+
+#: Entries per row block of :func:`finite_extremes`: 16 rows of ``W`` at m = 4000.
+FINITE_BLOCK_ENTRIES = 1 << 16
 
 #: Entries of one product in :meth:`SimilarityMatrix.gather` (1 MB of floats),
 #: or one row of ``W`` when a row is longer.
@@ -135,12 +138,23 @@ def ground_truth_labels(truth, sizes) -> tuple[np.ndarray, ...]:
     return tuple(labels)
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    """Reject NaN or infinities in a 2-D array, by row blocks, naming the first bad row."""
-    for r in range(0, a.shape[0], SYMMETRY_TILE):
-        bad_rows = np.flatnonzero(~np.isfinite(a[r : r + SYMMETRY_TILE]).all(axis=1))
-        if bad_rows.size:
-            raise ValueError(f"{what} row {r + int(bad_rows[0])} is not finite")
+def finite_extremes(a: np.ndarray, name) -> tuple[float, float]:
+    """The min and max of a 2-D float array (``(inf, -inf)`` if empty): the one finiteness rule.
+
+    The first row ``r`` with a NaN or an infinity raises ``f"{name(r)} is not finite"``.
+    Whole rows are read by blocks of about :data:`FINITE_BLOCK_ENTRIES` entries, and each
+    block's own extremes are tested, since ``min(lo, nan)`` is ``lo``.
+    """
+    lo, hi = np.inf, -np.inf
+    step = max(1, FINITE_BLOCK_ENTRIES // max(a.shape[1], 1))
+    for r in range(0, a.shape[0] if a.size else 0, step):
+        block = a[r : r + step]
+        b_lo, b_hi = float(block.min()), float(block.max())
+        if not -np.inf < b_lo <= b_hi < np.inf:
+            bad = int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise ValueError(f"{name(r + bad)} is not finite")
+        lo, hi = min(lo, b_lo), max(hi, b_hi)
+    return lo, hi
 
 
 def _fields_equal(self, other):
@@ -246,13 +260,13 @@ class ProblemInstance:
                 raise ValueError(f"object {i}: ambient dimension must be 2 or 3, got {p.shape[1]}")
             if p.shape[1] != points[0].shape[1]:
                 raise ValueError(f"object {i}: ambient dimension {p.shape[1]} is not object 0's")
-            _require_finite(p, f"object {i}: points")
+            finite_extremes(p, lambda r: f"object {i}: points row {r}")
         for i, (p, f) in enumerate(zip(points, features)):
             if f.ndim != 2 or f.shape[0] != p.shape[0]:
                 raise ValueError(f"object {i}: features must be (m_i, f) with m_i={p.shape[0]}")
             if f.shape[1] != features[0].shape[1]:
                 raise ValueError(f"object {i}: feature dimension {f.shape[1]} is not object 0's")
-            _require_finite(f, f"object {i}: features")
+            finite_extremes(f, lambda r: f"object {i}: features row {r}")
         gt = self.ground_truth
         gt = gt if gt is None else ground_truth_labels(gt, [len(p) for p in points])
         dist = self.distances
@@ -264,8 +278,8 @@ class ProblemInstance:
                 n = p.shape[0]
                 if dm.shape != (n, n):
                     raise ValueError(f"object {i}: distance matrix must be ({n}, {n})")
-                _require_finite(dm, f"object {i}: distances")
-                if not _exactly_symmetric(dm) or dm.min() < 0:
+                lo, _ = finite_extremes(dm, lambda r: f"object {i}: distances row {r}")
+                if not _exactly_symmetric(dm) or lo < 0:
                     raise ValueError(f"object {i}: distances must be symmetric and non-negative")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "features", features)
@@ -305,12 +319,7 @@ class SimilarityMatrix:
         m = self.index.m
         if data.shape != (m, m):
             raise ValueError(f"similarity matrix must be ({m}, {m}), got {data.shape}")
-        # Each 16-row block's min and max, read while the block is in cache.
-        # NaN and infinities reach the extremes, so these find any of them.
-        ext = np.array([(b.min(), b.max()) for b in np.split(data, range(16, m, 16))])
-        lo, hi = ext[:, 0].min(), ext[:, 1].max()
-        if not np.isfinite([lo, hi]).all():
-            _require_finite(data, "similarity matrix")
+        lo, _ = finite_extremes(data, lambda r: f"similarity matrix row {r}")
         if not _exactly_symmetric(data):
             raise ValueError("similarity matrix must be exactly symmetric")
         if lo < 0:
@@ -377,7 +386,7 @@ class MultiAdjacency:
             b = np.asarray(b, dtype=np.float64)
             if b.shape != (s, s):
                 raise ValueError(f"block {i} must be ({s}, {s}), got {b.shape}")
-            _require_finite(b, f"adjacency block {i}")
+            finite_extremes(b, lambda r: f"adjacency block {i} row {r}")
             if not _exactly_symmetric(b):
                 raise ValueError(f"block {i} must be exactly symmetric")
             blocks.append(b)
@@ -447,9 +456,6 @@ class UniverseAssignment:
     def m(self) -> int:
         return self.index.m
 
-    def block(self, i: int) -> np.ndarray:
-        return self.assignment[self.index.slice_of(i)]
-
     @cached_property
     def slot_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The points grouped by slot, as ``(order, starts, occupied)``.
@@ -508,10 +514,6 @@ class PairwiseMatchingSet:
     @property
     def k(self) -> int:
         return self.index.k
-
-    def block_map(self, i: int, j: int) -> np.ndarray:
-        """The map ``(i, j)``, as a read-only view."""
-        return self.targets[self.index.slice_of(i), j]
 
     def global_matches(self, *, upper=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each match, row-major, as arrays ``(g, j, h)``: global point ``g`` to ``h`` in ``j``.

@@ -9,6 +9,7 @@ are positive semidefinite, which the solver's monotonicity guarantee relies on.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,7 @@ WORK_ENTRIES = 1 << 13
 
 
 class DegenerateGeometryError(ValueError):
-    """An object's points are coincident, leaving the kernel bandwidth undefined."""
+    """An object's adjacency scale is 0: its points are coincident, or ``mu`` is too small."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,7 @@ class KernelConfig:
     dimensionless adjacency scaling.  ``weight_mode`` selects the per-pair
     weight: ``constant`` (1 everywhere) or ``intra-ratio`` (down-weight
     descriptors that sit close to another descriptor of the same object).
+    ``2 sigma^2`` must be a positive finite float; ``build_adjacency`` checks ``2 mu sigma_A^2``.
     """
 
     sigma: float = 1.0
@@ -54,8 +56,11 @@ class KernelConfig:
 
     def __post_init__(self):
         float_fields(self, ("sigma", "mu"))
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        scale = np.inf
+        with contextlib.suppress(OverflowError):  # sigma**2 beyond the float range
+            scale = 2.0 * self.sigma**2
+        if not (self.sigma > 0 and 0 < scale < np.inf):
+            raise ValueError(f"sigma must be positive with 0 < 2 sigma^2 < inf, got {self.sigma}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.weight_mode not in WEIGHT_MODES:
@@ -70,7 +75,8 @@ def _gaussian(dist: np.ndarray, scale: float) -> np.ndarray:
     """
     np.square(dist, out=dist)
     np.negative(dist, out=dist)
-    dist /= scale
+    with np.errstate(over="ignore"):  # a quotient of -inf is a kernel value of exactly 0
+        dist /= scale
     np.exp(dist, out=dist)
     # By chunks of rows of about WORK_ENTRIES entries, each with its own mask.
     step = max(1, WORK_ENTRIES // max(dist[:1].size, 1))
@@ -151,11 +157,12 @@ def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdj
         dist = squareform(pdist(p)) if instance.distances is None else instance.distances[i].copy()
         # A single point has no neighbour: sigma_a is inf and its kernel [[1]].
         sigma_a = float(np.median(_nearest(dist)))
-        if sigma_a <= 0.0:
+        scale = 2.0 * config.mu * sigma_a**2
+        if scale == 0.0:
             raise DegenerateGeometryError(
-                f"object {i}: median nearest-neighbour distance is zero (coincident points)"
+                f"object {i}: adjacency scale is 0 (mu={config.mu}, sigma_A={sigma_a})"
             )
-        blocks.append(_gaussian(dist, 2.0 * config.mu * sigma_a**2))
+        blocks.append(_gaussian(dist, scale))
     return MultiAdjacency(blocks=tuple(blocks), index=instance.index)
 
 

@@ -49,6 +49,16 @@ def to_dense(u: UniverseAssignment) -> np.ndarray:
     return dense
 
 
+def slots_of(u: UniverseAssignment, i: int) -> np.ndarray:
+    """The slots of object ``i``'s points, as a read-only view."""
+    return u.assignment[u.index.slice_of(i)]
+
+
+def block_map(x: PairwiseMatchingSet, i: int, j: int) -> np.ndarray:
+    """The map ``(i, j)``: each point of object ``i``'s match in ``j``, as a read-only view."""
+    return x.targets[x.index.slice_of(i), j]
+
+
 def dense_expand(u: UniverseAssignment) -> np.ndarray:
     """Pairwise matching matrix X = U U^T from the dense binary U."""
     dense = to_dense(u)
@@ -58,7 +68,7 @@ def dense_expand(u: UniverseAssignment) -> np.ndarray:
 def block_dense(x: PairwiseMatchingSet, i: int, j: int) -> np.ndarray:
     """The binary ``m_i x m_j`` matching matrix of the map ``(i, j)``."""
     dense = np.zeros((x.index.sizes[i], x.index.sizes[j]))
-    for p, q in enumerate(x.block_map(i, j).tolist()):
+    for p, q in enumerate(block_map(x, i, j).tolist()):
         if q >= 0:
             dense[p, q] = 1.0
     return dense
@@ -67,7 +77,7 @@ def block_dense(x: PairwiseMatchingSet, i: int, j: int) -> np.ndarray:
 def match_count(x: PairwiseMatchingSet) -> int:
     """Cross-object matches, each unordered pair once: the entries of the maps ``(i, j)``, i < j."""
     return sum(
-        int(np.sum(x.block_map(i, j) >= 0)) for i in range(x.k) for j in range(i + 1, x.k)
+        int(np.sum(block_map(x, i, j) >= 0)) for i in range(x.k) for j in range(i + 1, x.k)
     )
 
 
@@ -183,7 +193,7 @@ def pack_maps(maps, index: BlockIndex) -> PairwiseMatchingSet:
 
 def unpack_maps(x: PairwiseMatchingSet) -> list[list[np.ndarray]]:
     """The nested grid of writeable block-map copies that :func:`pack_maps` packs."""
-    return [[x.block_map(i, j).copy() for j in range(x.k)] for i in range(x.k)]
+    return [[block_map(x, i, j).copy() for j in range(x.k)] for i in range(x.k)]
 
 
 def _compose(first: np.ndarray, then: np.ndarray) -> np.ndarray:
@@ -210,23 +220,23 @@ def loop_cycle_violations(x) -> tuple[int, int, int]:
     k, sizes = x.k, x.index.sizes
     identity = 0
     for i in range(k):
-        mp = x.block_map(i, i)
+        mp = block_map(x, i, i)
         on_diagonal = mp == np.arange(sizes[i])
         identity += int(np.sum(~on_diagonal & (mp >= 0)) * 2)
         identity += int(np.sum(~on_diagonal & (mp < 0)))
     symmetry = 0
     for i in range(k):
         for j in range(i, k):
-            forward = x.block_map(i, j)
-            backward = _inverse_map(x.block_map(j, i), sizes[i])
+            forward = block_map(x, i, j)
+            backward = _inverse_map(block_map(x, j, i), sizes[i])
             both = int(np.sum((forward >= 0) & (forward == backward)))
             symmetry += int(np.sum(forward >= 0)) + int(np.sum(backward >= 0)) - 2 * both
     transitivity = 0
     for i in range(k):
         for l in range(i, k):
-            direct = x.block_map(i, l)
+            direct = block_map(x, i, l)
             for j in range(k):
-                comp = _compose(x.block_map(i, j), x.block_map(j, l))
+                comp = _compose(block_map(x, i, j), block_map(x, j, l))
                 transitivity += int(np.sum((comp >= 0) & (comp != direct)))
     return identity, symmetry, transitivity
 
@@ -240,10 +250,10 @@ def loop_cycle_error(x) -> float:
             for l in range(k):
                 if len({i, j, l}) < 3:
                     continue
-                comp = _compose(x.block_map(i, j), x.block_map(j, l))
+                comp = _compose(block_map(x, i, j), block_map(x, j, l))
                 hit = comp >= 0
                 total += int(np.sum(hit))
-                violations += int(np.sum(hit & (comp != x.block_map(i, l))))
+                violations += int(np.sum(hit & (comp != block_map(x, i, l))))
     return violations / total if total > 0 else 0.0
 
 

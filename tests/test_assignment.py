@@ -13,7 +13,7 @@ from hippi.cli import bench_instance
 from hippi.core import BlockIndex, UniverseAssignment
 from hippi.kernels import KernelConfig, build_similarity
 
-from helpers import brute_force_lap, random_assignment
+from helpers import brute_force_lap, random_assignment, slots_of
 
 
 def project_every_slot(v: np.ndarray, index: BlockIndex) -> UniverseAssignment:
@@ -33,7 +33,7 @@ def test_lap_exact_rejects_more_rows_than_cols():
 
 def test_lap_exact_rejects_non_finite():
     for bad in (np.inf, -np.inf, np.nan):  # scipy alone would accept -inf
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^scores row 0 is not finite$"):
             lap_exact(np.array([[1.0, bad]]))
 
 
@@ -58,7 +58,7 @@ def test_projection_checks_the_whole_lift_once(monkeypatch, bad, positive):
     project_every_slot(v, index)
     assert checks == [False] * index.k
     v[-1, -1] = bad
-    with pytest.raises(ValueError, match="scores must be finite"):
+    with pytest.raises(ValueError, match="^object 2 row 3: score is not finite$"):
         project_every_slot(v, index)
     assert len(checks) == index.k
 
@@ -132,7 +132,7 @@ def test_projection_matches_per_block_brute_force(data):
     u = project_every_slot(v, index)
     for i in range(index.k):
         best, _ = brute_force_lap(v[index.slice_of(i)])
-        got = v[index.slice_of(i)][np.arange(sizes[i]), u.block(i)].sum()
+        got = v[index.slice_of(i)][np.arange(sizes[i]), slots_of(u, i)].sum()
         assert got == pytest.approx(best, rel=1e-12)
 
 
@@ -155,8 +155,8 @@ def test_projection_blocks_are_independent():
     bumped = v.copy()
     bumped[index.slice_of(1)] += rng.normal(size=(3, 4))
     again = project_every_slot(bumped, index)
-    assert again.block(0).tolist() == base.block(0).tolist()
-    assert again.block(2).tolist() == base.block(2).tolist()
+    assert slots_of(again, 0).tolist() == slots_of(base, 0).tolist()
+    assert slots_of(again, 2).tolist() == slots_of(base, 2).tolist()
 
 
 def test_projection_returns_valid_assignment_with_surplus_columns():
@@ -190,7 +190,7 @@ def lap_inputs(monkeypatch) -> list[np.ndarray]:
 
 
 def block_score(v: np.ndarray, index: BlockIndex, u: UniverseAssignment, i: int) -> float:
-    return value(v[index.slice_of(i)], u.block(i))
+    return value(v[index.slice_of(i)], slots_of(u, i))
 
 
 @pytest.mark.parametrize(

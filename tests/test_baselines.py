@@ -26,6 +26,7 @@ from helpers import (
     integer_similarity,
     pack_maps,
     random_assignment,
+    slots_of,
     uniform_similarity,
     unpack_maps,
 )
@@ -179,7 +180,7 @@ def test_random_init_draws_distinct_slots_in_a_universe_of_2_40_slots():
     index = BlockIndex(sizes=(20, 7, 20))
     u = random_init(index, 2**40, seed=0)
     for i in range(index.k):
-        block = u.block(i)
+        block = slots_of(u, i)
         assert np.unique(block).size == block.size
         assert block.min() >= 0 and block.max() < 2**40
 
@@ -203,9 +204,9 @@ def test_greedy_init_matches_obvious_similarity():
     cross = np.array([[0.9, 0.1, 0.0], [0.0, 0.1, 0.8]])
     w = two_object_similarity(cross)
     u = greedy_init(w, d=3)
-    anchor = u.block(1)  # larger object anchors the first slots in order
+    anchor = slots_of(u, 1)  # larger object anchors the first slots in order
     assert anchor.tolist() == [0, 1, 2]
-    assert u.block(0).tolist() == [0, 2]
+    assert slots_of(u, 0).tolist() == [0, 2]
 
 
 @pytest.mark.parametrize(

@@ -112,7 +112,7 @@ class TestSolve:
         out = tmp_path / "ext"
         code = run(["solve", "--problem", problem_path, "--out", out,
                     "--method", "external-file",
-                    "--external", base / "assignment.json"])
+                    "--assignment", base / "assignment.json"])
         assert code == cli.EXIT_OK
         original = io.load_assignment(base / "assignment.json")
         copied = io.load_assignment(out / "assignment.json")
@@ -126,7 +126,7 @@ class TestSolve:
         out = tmp_path / "ext"
         assert run(["solve", "--problem", problem_path, "--out", out, "--d", "3",
                     "--method", "external-file",
-                    "--external", base / "assignment.json"]) == cli.EXIT_OK
+                    "--assignment", base / "assignment.json"]) == cli.EXIT_OK
         assert io.load_report(out / "report.csv")["d"] == "30"
         assert capsys.readouterr().out.splitlines()[-2].startswith("method=external-file d=30 ")
 
@@ -138,7 +138,7 @@ class TestSolve:
         wider = (sizes[0] + 1, *sizes[1:])
         io.save_assignment(random_assignment(np.random.default_rng(0), wider, 20), other)
         assert run(["solve", "--problem", problem_path, "--out", tmp_path / "x",
-                    "--method", "external-file", "--external", other]) == cli.EXIT_DATA
+                    "--method", "external-file", "--assignment", other]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"{other}: object 0 has {wider[0]} points; the problem has {sizes[0]}" in err
 
@@ -459,7 +459,7 @@ class TestHugeUniverse:
                         "--out", tmp_path / "eval"]) == cli.EXIT_OK
             assert run(["verify", "--assignment", path]) == cli.EXIT_OK
             assert run(["solve", "--problem", problem_path, "--method", "external-file",
-                        "--external", path, "--out", tmp_path / "ext"]) == cli.EXIT_OK
+                        "--assignment", path, "--out", tmp_path / "ext"]) == cli.EXIT_OK
             report = io.load_report(tmp_path / "ext" / "report.csv")
             del report["runtime_seconds"]
             return capsys.readouterr().out, report
@@ -544,6 +544,44 @@ class TestVerify:
             "identity=0 symmetry=0 transitivity=0 cycle_error=0.0",
             "consistent",
         ]
+
+
+class TestSavedMatching:
+    """``eval``, ``verify`` and ``solve --method external-file`` read one matching file."""
+
+    @pytest.fixture
+    def files(self, problem_path, tmp_path):
+        out = tmp_path / "run"
+        run(["solve", "--problem", problem_path, "--out", out, "--seed", "1"])
+        io.save_pairwise(expand(io.load_assignment(out / "assignment.json")), out / "pw.json")
+        return out / "assignment.json", out / "pw.json"
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_an_assignment_and_a_pairwise_file_are_a_data_error(
+        self, problem_path, tmp_path, capsys, files, command
+    ):
+        argv = [command, "--assignment", files[0], "--pairwise", files[1], "--out", tmp_path / "x"]
+        if command == "eval":
+            argv += ["--problem", problem_path]
+        assert run(argv) == cli.EXIT_DATA
+        message = f"{command} needs exactly one of --assignment and --pairwise"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_assignment, message", [
+        (False, "method external-file reads --assignment, not a pairwise file"),
+        (True, "solve needs exactly one of --assignment and --pairwise"),
+    ])
+    def test_external_file_rejects_a_pairwise_file_from_the_config(
+        self, problem_path, tmp_path, capsys, files, with_assignment, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"pairwise": str(files[1])}}))
+        argv = ["solve", "--problem", problem_path, "--config", cfg,
+                "--method", "external-file", "--out", tmp_path / "x"]
+        if with_assignment:
+            argv += ["--assignment", files[0]]
+        assert run(argv) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 class TestBench:
@@ -682,7 +720,7 @@ MERGE_CASES = [
     ("solve", ["--method", "greedy"], "run", "method", "spectral", "greedy"),
     ("solve", ["--init", "greedy"], "run", "init", "random", "greedy"),
     ("solve", ["--strict-psd"], "run", "strict_psd", False, True),
-    ("solve", ["--external", "b.json"], "run", "external", "a.json", "b.json"),
+    ("solve", ["--assignment", "b.json"], "run", "assignment", "a.json", "b.json"),
     ("bench", ["--sizes", "40,80"], "run", "sizes", [20], (40, 80)),
     ("bench", ["--points-per-object", "4"], "run", "points_per_object", 5, 4),
     ("bench", ["--iters", "2"], "run", "bench_iters", 7, 2),
@@ -807,11 +845,13 @@ class TestIntegerFields:
         ("bench", {"run": {"sizes": [40, 80.5]}}, "sizes[1] must be an integer, got 80.5"),
         ("solve", {"kernel": {"sigma": True}}, "sigma must be a finite number, got True"),
         ("solve", {"kernel": {"mu": float("inf")}}, "mu must be a finite number, got inf"),
+        ("solve", {"kernel": {"sigma": 1e200}},
+         "sigma must be positive with 0 < 2 sigma^2 < inf, got 1e+200"),
         ("generate", {"generate": {"k": 2, "d_true": 4, "visibility": True}},
          "visibility must be a finite number, got True"),
     ], ids=["generate-k", "run-seed", "run-d", "solver-max-iters",
             "solver-max-iters-bool", "run-sizes", "kernel-sigma-bool", "kernel-mu-inf",
-            "generate-visibility-bool"])
+            "kernel-sigma-overflow", "generate-visibility-bool"])
     def test_config_file_field(self, problem_path, tmp_path, capsys, command, doc, message):
         argv = [command, "--config", self.write(tmp_path, doc), "--out", tmp_path / "x"]
         if command == "solve":
@@ -819,6 +859,18 @@ class TestIntegerFields:
         assert run(argv) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "1e155", "sigma must be positive with 0 < 2 sigma^2 < inf, got 1e+155"),
+        ("--sigma", "1e-170", "sigma must be positive with 0 < 2 sigma^2 < inf, got 1e-170"),
+        ("--mu", "5e-324", "adjacency scale is 0 (mu=5e-324, sigma_A="),
+    ], ids=["sigma-overflow", "sigma-underflow", "mu-underflow"])
+    def test_kernel_scale_that_overflows_or_vanishes(
+        self, problem_path, tmp_path, capsys, flag, value, message
+    ):
+        assert run(["solve", "--problem", problem_path, flag, value,
+                    "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
 
     def test_non_finite_flag_value(self, problem_path, tmp_path, capsys):
         assert run(["solve", "--problem", problem_path, "--sigma", "inf",

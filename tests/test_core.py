@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hippi.assignment import project_to_universe
+from hippi import core
+from hippi.assignment import lap_exact, project_to_universe
 from hippi.baselines import random_init
 from hippi.core import (
     BlockIndex,
@@ -22,6 +23,7 @@ from hippi.synth import GenConfig, twin_prototype_instance
 
 from helpers import (
     block_dense,
+    block_map,
     dense_expand,
     match_count,
     naive_cycle_violations,
@@ -97,6 +99,60 @@ def test_integer_arrays_are_checked_where_the_type_is_built(taker, kind):
         a[pos] = a[pos] + 0.5 if kind == "fractional" else np.nan
     message = f"{name(*pos)} must be an integer, got {a[pos].item()!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(a)
+
+
+def _with_object_1(name, a):
+    """A ProblemInstance of a 2-point object 0 and object 1 with ``a`` as its ``name`` array."""
+    arrays = dict(points=np.zeros((5, 2)), features=np.ones((5, 3)), distances=np.zeros((5, 5)))
+    arrays[name] = a
+    other = dict(points=np.zeros((2, 2)), features=np.ones((2, 3)), distances=np.zeros((2, 2)))
+    return ProblemInstance(**{n: (other[n], arrays[n]) for n in arrays})
+
+
+#: Each taker of a float array: a builder, the shape of a valid all-zero array,
+#: and the name of its row ``r``.  Where there are objects, 2 and 5 points.
+FLOAT_ARRAYS = {
+    **{
+        name: (lambda a, name=name: _with_object_1(name, a), shape,
+               lambda r, name=name: f"object 1: {name} row {r}")
+        for name, shape in [("points", (5, 2)), ("features", (5, 3)), ("distances", (5, 5))]
+    },
+    "W": (
+        lambda a: SimilarityMatrix(a, index=BlockIndex((2, 5))),
+        (7, 7),
+        lambda r: f"similarity matrix row {r}",
+    ),
+    "adjacency": (
+        lambda a: MultiAdjacency((np.zeros((2, 2)), a), index=BlockIndex((2, 5))),
+        (5, 5),
+        lambda r: f"adjacency block 1 row {r}",
+    ),
+    "lift": (
+        lambda a: project_to_universe(a, BlockIndex((2, 5)), columns=np.arange(6), d=6),
+        (7, 6),
+        lambda g: f"object 1 row {g - 2}: score",
+    ),
+    "lap_exact": (lap_exact, (5, 6), lambda r: f"scores row {r}"),
+}
+
+
+@pytest.mark.parametrize("entries", [core.FINITE_BLOCK_ENTRIES, 1], ids=["whole", "by-row"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("taker", list(FLOAT_ARRAYS))
+def test_every_float_array_is_the_core_finiteness_rule(monkeypatch, taker, bad, entries):
+    """Two bad rows raise naming the first, whether the rows are read as one block or one by one.
+
+    On the diagonal where the array is square, so it stays symmetric.
+    """
+    monkeypatch.setattr(core, "FINITE_BLOCK_ENTRIES", entries)
+    build, shape, name = FLOAT_ARRAYS[taker]
+    a = np.zeros(shape)
+    build(a)
+    rows = (shape[0] - 4, shape[0] - 2)
+    for r in rows:
+        a[r, r % shape[1]] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(name(rows[0]))} is not finite$"):
         build(a)
 
 
@@ -286,7 +342,7 @@ class TestSimilarityMatrix:
             SimilarityMatrix(data=w, index=self.index)
 
     def test_non_finite_entry_beyond_the_first_row_block_is_named(self):
-        # Rows are checked 256 at a time; both bad rows sit in the second block.
+        # At m = 300 rows are checked 218 at a time; both bad rows sit in the second block.
         index = BlockIndex((280, 20))
         w = np.zeros((300, 300))
         w[290, 1] = w[1, 290] = 0.5
@@ -512,8 +568,8 @@ class TestPairwiseMatchingSet:
         assert len(pairs) == match_count(x)
         for i, p, j, q in pairs:
             assert i < j
-            assert x.block_map(i, j)[p] == q
-            assert x.block_map(j, i)[q] == p
+            assert block_map(x, i, j)[p] == q
+            assert block_map(x, j, i)[q] == p
 
     def test_targets_must_be_m_by_k(self):
         with pytest.raises(ValueError, match=r"targets must be \(4, 2\), got \(4, 3\)"):
@@ -544,7 +600,7 @@ class TestPairwiseMatchingSet:
         assert np.array_equal(x.targets, pack_maps(maps, idx).targets)
         for i in range(idx.k):
             for j in range(idx.k):
-                view = x.block_map(i, j)
+                view = block_map(x, i, j)
                 assert np.array_equal(view, maps[i][j])
                 assert np.shares_memory(view, x.targets) and not view.flags.writeable
 
@@ -553,10 +609,10 @@ class TestPairwiseMatchingSet:
         u = random_assignment(rng, (3, 4, 2, 4), 6)
         x = expand(u)
         expected = [
-            (i, int(p), j, int(x.block_map(i, j)[p]))
+            (i, int(p), j, int(block_map(x, i, j)[p]))
             for i in range(x.k)
             for j in range(i + 1, x.k)
-            for p in np.flatnonzero(x.block_map(i, j) >= 0)
+            for p in np.flatnonzero(block_map(x, i, j) >= 0)
         ]
         assert list(x.matched_pairs()) == expected
         assert match_count(x) == len(expected)

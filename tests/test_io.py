@@ -13,7 +13,7 @@ from hippi.metrics import MatchReport
 from hippi.solver import SolverTrace
 from hippi.synth import GenConfig, generate
 
-from helpers import loop_load_pairwise, match_count, pack_maps, random_assignment
+from helpers import block_map, loop_load_pairwise, match_count, pack_maps, random_assignment
 
 
 @pytest.fixture
@@ -271,7 +271,7 @@ class TestPairwiseFiles:
         }
         path.write_text(json.dumps(doc))
         x = io.load_pairwise(path)
-        assert x.block_map(0, 1)[0] == 1 and x.block_map(1, 0)[1] == 0
+        assert block_map(x, 0, 1)[0] == 1 and block_map(x, 1, 0)[1] == 0
 
     def test_diagonal_entry_rejected(self, tmp_path):
         path = tmp_path / "diag.json"

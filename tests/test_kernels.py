@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,13 @@ class TestBuildSimilarity:
         with pytest.raises(ValueError):
             KernelConfig(sigma=1.0, weight_mode="nope")
 
+    @pytest.mark.parametrize("sigma", [1e155, 1e200, 1e-170])
+    def test_sigma_whose_scale_overflows_or_vanishes_is_rejected(self, sigma):
+        """``2 sigma^2`` is inf, an ``OverflowError`` or 0: each raises naming sigma."""
+        message = f"sigma must be positive with 0 < 2 sigma^2 < inf, got {sigma}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KernelConfig(sigma=sigma)
+
 
 class TestSimilarityMemory:
     """A build holds ``W`` and small per-block work arrays, never a second ``m x m`` array."""
@@ -245,6 +253,21 @@ class TestBuildAdjacency:
         )
         a = build_adjacency(inst, KernelConfig(sigma=1.0))
         assert np.array_equal(a.blocks[0], [[1.0]])
+
+    def test_mu_that_makes_the_scale_zero_is_degenerate_naming_the_object(self):
+        # sigma_A is 1 for object 0, where 2 mu sigma_A^2 is a subnormal, and
+        # 0.1 for object 1, where it rounds to 0.
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        inst = ProblemInstance(points=(line, line / 10), features=(np.zeros((3, 1)),) * 2)
+        message = r"^object 1: adjacency scale is 0 \(mu=5e-324, sigma_A=0\.1\)$"
+        with pytest.raises(DegenerateGeometryError, match=message):
+            build_adjacency(inst, KernelConfig(mu=5e-324))
+
+    def test_quotient_that_overflows_is_a_silent_zero(self):
+        # 2 mu sigma_A^2 is a subnormal here, so every off-diagonal quotient overflows to -inf.
+        inst = make_instance(np.random.default_rng(3))
+        for block in build_adjacency(inst, KernelConfig(mu=1e-322)).blocks:
+            assert np.array_equal(block, np.eye(len(block)))
 
     def test_coincident_points_rejected(self):
         inst = ProblemInstance(

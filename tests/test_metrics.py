@@ -25,6 +25,7 @@ from helpers import (
     naive_cycle_violations,
     pack_maps,
     random_assignment,
+    slots_of,
     unpack_maps,
 )
 
@@ -166,7 +167,7 @@ def test_cycle_error_is_zero_without_triples():
 def test_perfect_prediction_scores_one():
     rng = np.random.default_rng(7)
     u = random_assignment(rng, (3, 4, 2), 5)
-    truth = [u.block(i) for i in range(3)]
+    truth = [slots_of(u, i) for i in range(3)]
     report = fscore(expand(u), truth)
     assert report.precision == report.recall == report.fscore == 1.0
     assert report.false_positives == report.false_negatives == 0
@@ -211,7 +212,7 @@ def test_outlier_labels_never_form_true_pairs():
 def test_fscore_invariant_under_column_relabelling():
     rng = np.random.default_rng(11)
     u = random_assignment(rng, (3, 3, 2), 4)
-    truth = [u.block(i) for i in range(3)]
+    truth = [slots_of(u, i) for i in range(3)]
     perm = rng.permutation(4)
     relabelled = UniverseAssignment(perm[u.assignment], d=4, index=u.index)
     a = fscore(u, truth)
@@ -226,7 +227,7 @@ def test_fscore_invariant_under_column_relabelling():
 def test_fscore_rejects_other_types():
     rng = np.random.default_rng(13)
     u = random_assignment(rng, (3, 3), 3)
-    truth = [u.block(i) for i in range(2)]
+    truth = [slots_of(u, i) for i in range(2)]
     for other in (u.assignment, expand(u).to_matrix(), expand(u).targets):
         with pytest.raises(TypeError, match="cannot score"):
             fscore(other, truth)

@@ -10,7 +10,7 @@ from hippi.core import BlockIndex, ProblemInstance, expand
 from hippi.metrics import fscore
 from hippi.synth import GenConfig, GenerationError, generate, twin_prototype_instance
 
-from helpers import planted_assignment
+from helpers import planted_assignment, slots_of
 
 
 def clean_config(**overrides):
@@ -172,21 +172,21 @@ def test_planted_assignment_plain_case_matches_truth_exactly():
     report = fscore(expand(u), p.ground_truth)
     assert report.fscore == 1.0
     for i in range(p.k):
-        assert u.block(i).tolist() == p.ground_truth[i].tolist()
+        assert slots_of(u, i).tolist() == p.ground_truth[i].tolist()
 
 
 def test_outliers_fill_surplus_columns_round_robin():
     p = manual_instance([[0, 1, 2, -1], [0, 1, 2, -1]])
     u = planted_assignment(p, d=5)
-    assert u.block(0).tolist() == [0, 1, 2, 3]
-    assert u.block(1).tolist() == [0, 1, 2, 4]  # offset keeps outliers apart
+    assert slots_of(u, 0).tolist() == [0, 1, 2, 3]
+    assert slots_of(u, 1).tolist() == [0, 1, 2, 4]  # offset keeps outliers apart
     assert fscore(expand(u), p.ground_truth).fscore == 1.0
 
 
 def test_outliers_collide_when_surplus_is_too_small():
     p = manual_instance([[0, 1, 2, -1], [0, 1, 2, -1]])
     u = planted_assignment(p, d=4)  # a single surplus column for two outliers
-    assert u.block(0)[3] == u.block(1)[3] == 3
+    assert slots_of(u, 0)[3] == slots_of(u, 1)[3] == 3
     report = fscore(expand(u), p.ground_truth)
     assert report.precision < 1.0
     assert report.recall == 1.0
@@ -212,7 +212,7 @@ def test_planted_assignment_valid_with_many_objects():
     out_cols = []
     for i in range(4):
         g = np.asarray(p.ground_truth[i])
-        out_cols.extend(u.block(i)[g < 0].tolist())
+        out_cols.extend(slots_of(u, i)[g < 0].tolist())
     assert sorted(out_cols) == [3, 4, 5, 6]  # all surplus columns, no reuse
     assert fscore(expand(u), p.ground_truth).fscore == 1.0
 
