@@ -182,6 +182,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         external = _saved_matching(cfg, p.index)
         if not isinstance(external, UniverseAssignment):
             raise ValueError("method external-file reads --assignment, not a pairwise file")
+    elif cfg.assignment is not None or cfg.pairwise is not None:
+        name = "assignment" if cfg.assignment is not None else "pairwise"
+        raise ValueError(f"--{name} is read by solve only with --method external-file")
     d = universe_size(p.index, cfg.d) if external is None else external.d
     op = _prepare_operator(cfg, p)
     started = time.perf_counter()

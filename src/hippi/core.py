@@ -10,7 +10,8 @@ column.  :func:`expand` materialises the implied pairwise matchings as a
 each object.
 
 All types are immutable after construction (arrays are marked read-only) and
-safe to share across threads.
+safe to share across threads.  Every pass that reads an array by blocks, here
+and in :mod:`hippi.kernels`, sizes them by :func:`block_rows`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from scipy.sparse import csr_array
 #: Ground-truth label for points that correspond to no universe point.
 OUTLIER = -1
 
-#: Tile side of the symmetry check.
-SYMMETRY_TILE = 256
+#: Entries per block of every blocked pass (1 MB of floats), so that a pass's
+#: work arrays stay small whatever ``m`` is; the symmetry check's tiles are squares.
+BLOCK_ENTRIES = 1 << 17
 
-#: Entries per row block of :func:`finite_extremes`: 16 rows of ``W`` at m = 4000.
-FINITE_BLOCK_ENTRIES = 1 << 16
 
-#: Entries of one product in :meth:`SimilarityMatrix.gather` (1 MB of floats),
-#: or one row of ``W`` when a row is longer.
-GATHER_ENTRIES = 1 << 17
+def block_rows(width: int) -> int:
+    """Rows of ``width`` entries per block of :data:`BLOCK_ENTRIES` entries; at least 1."""
+    return max(1, BLOCK_ENTRIES // max(width, 1))
 
 
 def _owned(a, dtype) -> np.ndarray:
@@ -61,7 +61,7 @@ def _owned(a, dtype) -> np.ndarray:
 def _exactly_symmetric(a: np.ndarray) -> bool:
     """``np.array_equal(a, a.T)``, compared tile by tile so each read stays in cache."""
     n = a.shape[0]
-    t = SYMMETRY_TILE
+    t = math.isqrt(BLOCK_ENTRIES)
     return all(
         np.array_equal(a[r : r + t, c : c + t], a[c : c + t, r : r + t].T)
         for r in range(0, n, t)
@@ -142,11 +142,11 @@ def finite_extremes(a: np.ndarray, name) -> tuple[float, float]:
     """The min and max of a 2-D float array (``(inf, -inf)`` if empty): the one finiteness rule.
 
     The first row ``r`` with a NaN or an infinity raises ``f"{name(r)} is not finite"``.
-    Whole rows are read by blocks of about :data:`FINITE_BLOCK_ENTRIES` entries, and each
-    block's own extremes are tested, since ``min(lo, nan)`` is ``lo``.
+    Whole rows are read by blocks of :func:`block_rows`, and each block's own
+    extremes are tested, since ``min(lo, nan)`` is ``lo``.
     """
     lo, hi = np.inf, -np.inf
-    step = max(1, FINITE_BLOCK_ENTRIES // max(a.shape[1], 1))
+    step = block_rows(a.shape[1])
     for r in range(0, a.shape[0] if a.size else 0, step):
         block = a[r : r + step]
         b_lo, b_hi = float(block.min()), float(block.max())
@@ -339,14 +339,14 @@ class SimilarityMatrix:
 
         ``W`` is exactly symmetric, so a slot's column is the sum of its points'
         rows, which are contiguous reads.  The rows are added left to right in
-        ``order``, bit for bit as ``acc += W[q]`` point by point: for as many
-        slots at a time as fill :data:`GATHER_ENTRIES`, a 0/1 CSR matrix picks
-        their points' rows, and scipy's CSR-dense product adds each picked row
-        into its slot's row of the result in that order.
+        ``order``, bit for bit as ``acc += W[q]`` point by point: for
+        ``block_rows(m)`` slots at a time, a 0/1 CSR matrix picks their
+        points' rows, and scipy's CSR-dense product adds each picked row into
+        its slot's row of the result in that order.
         """
         out = np.empty((self.m, starts.size))
         bounds = np.append(starts, order.size)
-        step = max(1, GATHER_ENTRIES // self.m)
+        step = block_rows(self.m)
         for s in range(0, starts.size, step):
             ptr = bounds[s : s + step + 1]
             members = order[ptr[0] : ptr[-1]]

@@ -5,6 +5,8 @@ points of different objects.  Adjacency blocks apply a Gaussian to intra-object
 point distances with a per-object bandwidth ``sigma_A = median(d_min)``, the
 median nearest-neighbour distance, scaled by ``mu``; Gaussian kernel matrices
 are positive semidefinite, which the solver's monotonicity guarantee relies on.
+Both take point distances from ``cdist``, and ``W`` is built by row blocks of
+``core.block_rows``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
-from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix, float_fields
+from hippi.core import MultiAdjacency, ProblemInstance, SimilarityMatrix, block_rows, float_fields
 
 log = logging.getLogger(__name__)
 
@@ -27,16 +29,9 @@ WEIGHT_MODES = ("constant", "intra-ratio")
 #: Relative tolerance on the smallest eigenvalue of an adjacency block.
 PSD_TOL = 1e-8
 
-#: Rows per block in the blocked passes: the build of ``W``, ``_nearest``.
-BLOCK_ROWS = 64
-
-#: Entries per work array of the in-place passes (a mask, an outer product):
-#: 64 KB of floats, so a thread's temporaries stay small whatever ``m`` is.
-WORK_ENTRIES = 1 << 13
-
 
 class DegenerateGeometryError(ValueError):
-    """An object's adjacency scale is 0: its points are coincident, or ``mu`` is too small."""
+    """An object's adjacency scale ``2 mu sigma_A^2`` is 0, or inf with two points or more."""
 
 
 @dataclass(frozen=True)
@@ -73,16 +68,13 @@ def _gaussian(dist: np.ndarray, scale: float) -> np.ndarray:
     Subnormal results are flushed to 0: products with them run many times
     slower, and they are below every other entry's rounding.
     """
-    np.square(dist, out=dist)
-    np.negative(dist, out=dist)
-    with np.errstate(over="ignore"):  # a quotient of -inf is a kernel value of exactly 0
+    with np.errstate(over="ignore"):  # a square or quotient that overflows is a kernel value of 0
+        np.square(dist, out=dist)
+        np.negative(dist, out=dist)
         dist /= scale
     np.exp(dist, out=dist)
-    # By chunks of rows of about WORK_ENTRIES entries, each with its own mask.
-    step = max(1, WORK_ENTRIES // max(dist[:1].size, 1))
-    for r in range(0, len(dist), step):
-        part = dist[r : r + step]
-        part[part < np.finfo(np.float64).tiny] = 0.0
+    # One masked write over the whole array, which keeps a NaN.
+    np.copyto(dist, 0.0, where=dist < np.finfo(np.float64).tiny)
     return dist
 
 
@@ -90,25 +82,27 @@ def _nearest(dist: np.ndarray) -> np.ndarray:
     """Each row's smallest entry off the diagonal of a square distance matrix; inf if 1 x 1."""
     # Over row-block copies with the diagonal set to inf: no second n x n array.
     out = np.empty(dist.shape[0])
-    for r in range(0, dist.shape[0], BLOCK_ROWS):
-        rows = dist[r : r + BLOCK_ROWS].copy()
+    step = block_rows(dist.shape[0])
+    for r in range(0, dist.shape[0], step):
+        rows = dist[r : r + step].copy()
         np.fill_diagonal(rows[:, r:], np.inf)
-        out[r : r + BLOCK_ROWS] = rows.min(axis=1)
+        out[r : r + step] = rows.min(axis=1)
     return out
 
 
 def build_similarity(instance: ProblemInstance, config: KernelConfig) -> SimilarityMatrix:
     """Cross-object similarity matrix from feature descriptors.
 
-    ``W`` is built by blocks of :data:`BLOCK_ROWS` rows, each written in
-    place: its ``cdist`` rows, the kernel, the weights, then the zeroing of
+    ``W`` is built by row blocks of ``core.block_rows(m)`` rows, each written
+    in place: its ``cdist`` rows, the kernel, the weights, then the zeroing of
     its rows of the diagonal blocks.  The blocks run on one thread per CPU
     the process may use (``cdist`` and the ufuncs release the GIL); each
     writes only its own rows with per-entry arithmetic, so ``W`` is the same
-    bit for bit whatever the thread count.  The finished array is frozen so
-    that :class:`SimilarityMatrix` adopts it: a build holds no ``m x m``
-    float array beyond ``W`` itself, and each thread's work arrays hold at
-    most :data:`WORK_ENTRIES` entries (or one row).
+    bit for bit whatever the thread count or block size.  The finished array
+    is frozen so that :class:`SimilarityMatrix` adopts it: a build holds no
+    ``m x m`` float array beyond ``W`` itself, and each thread's work arrays
+    are the flush mask of its block (one byte an entry) and one row of
+    intra-ratio weights.
     """
     idx = instance.index
     features = np.concatenate(instance.features)
@@ -120,26 +114,25 @@ def build_similarity(instance: ProblemInstance, config: KernelConfig) -> Similar
         # intra-object descriptor distance, and w_pq = u_p * u_q.  Strictly
         # decreasing in intra-object proximity, 1 for isolated descriptors.
         # The exact functional form is this library's choice.
-        nearest = np.concatenate([_nearest(squareform(pdist(f))) for f in instance.features])
+        nearest = np.concatenate([_nearest(cdist(f, f)) for f in instance.features])
         trust = 1.0 - _gaussian(nearest, scale)
     w, owner = np.empty((idx.m, idx.m)), idx.owner
+    step = block_rows(idx.m)
 
     def fill(r: int) -> None:
-        rows = slice(r, min(r + BLOCK_ROWS, idx.m))
+        rows = slice(r, min(r + step, idx.m))
         block = w[rows]
         _gaussian(cdist(features[rows], features, out=block), scale)
         if trust is not None:
-            step = max(1, WORK_ENTRIES // idx.m)
-            for c in range(rows.start, rows.stop, step):
-                part = slice(c, min(c + step, rows.stop))
-                w[part] *= np.outer(trust[part], trust)
+            for q in range(rows.start, rows.stop):  # one row of products at a time
+                w[q] *= trust[q] * trust
         for i in range(owner[rows.start], owner[rows.stop - 1] + 1):
             own = idx.slice_of(i)
             w[max(own.start, rows.start) : min(own.stop, rows.stop), own] = 0.0
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(cpus) as pool:
-        list(pool.map(fill, range(0, idx.m, BLOCK_ROWS)))
+        list(pool.map(fill, range(0, idx.m, step)))
     w.setflags(write=False)
     return SimilarityMatrix(data=w, index=idx)
 
@@ -154,13 +147,14 @@ def build_adjacency(instance: ProblemInstance, config: KernelConfig) -> MultiAdj
     """
     blocks = []
     for i, p in enumerate(instance.points):
-        dist = squareform(pdist(p)) if instance.distances is None else instance.distances[i].copy()
+        dist = cdist(p, p) if instance.distances is None else instance.distances[i].copy()
         # A single point has no neighbour: sigma_a is inf and its kernel [[1]].
-        sigma_a = float(np.median(_nearest(dist)))
-        scale = 2.0 * config.mu * sigma_a**2
-        if scale == 0.0:
+        sigma_a = np.median(_nearest(dist))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = 2.0 * sigma_a**2 * config.mu
+        if len(dist) > 1 and not 0.0 < scale < np.inf:
             raise DegenerateGeometryError(
-                f"object {i}: adjacency scale is 0 (mu={config.mu}, sigma_A={sigma_a})"
+                f"object {i}: adjacency scale is {scale:g} (mu={config.mu}, sigma_A={sigma_a})"
             )
         blocks.append(_gaussian(dist, scale))
     return MultiAdjacency(blocks=tuple(blocks), index=instance.index)

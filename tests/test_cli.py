@@ -583,6 +583,23 @@ class TestSavedMatching:
         assert run(argv) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--assignment", "run.assignment", "run.pairwise"])
+    def test_solve_without_external_file_rejects_a_saved_matching(
+        self, problem_path, tmp_path, capsys, files, source
+    ):
+        name = source.rpartition(".")[2].lstrip("-")
+        argv = ["solve", "--problem", problem_path, "--out", tmp_path / "x"]
+        if source.startswith("--"):
+            argv += [source, files[0]]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"run": {name: str(files[name == "pairwise"])}}))
+            argv += ["--config", cfg]
+        assert run(argv) == cli.EXIT_DATA
+        message = f"--{name} is read by solve only with --method external-file"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestBench:
     def test_ladder_writes_csv_and_exponent(self, tmp_path, capsys):

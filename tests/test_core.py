@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from hippi import core
+from hippi import core, kernels
 from hippi.assignment import lap_exact, project_to_universe
 from hippi.baselines import random_init
 from hippi.core import (
@@ -17,7 +18,7 @@ from hippi.core import (
     UniverseAssignment,
     expand,
 )
-from hippi.kernels import KernelConfig
+from hippi.kernels import KernelConfig, build_similarity
 from hippi.solver import universe_size
 from hippi.synth import GenConfig, twin_prototype_instance
 
@@ -28,7 +29,9 @@ from helpers import (
     match_count,
     naive_cycle_violations,
     pack_maps,
+    pairwise_similarity,
     random_assignment,
+    unblocked_gather,
 )
 
 
@@ -137,7 +140,7 @@ FLOAT_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("entries", [core.FINITE_BLOCK_ENTRIES, 1], ids=["whole", "by-row"])
+@pytest.mark.parametrize("entries", [core.BLOCK_ENTRIES, 1], ids=["whole", "by-row"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("taker", list(FLOAT_ARRAYS))
 def test_every_float_array_is_the_core_finiteness_rule(monkeypatch, taker, bad, entries):
@@ -145,7 +148,7 @@ def test_every_float_array_is_the_core_finiteness_rule(monkeypatch, taker, bad, 
 
     On the diagonal where the array is square, so it stays symmetric.
     """
-    monkeypatch.setattr(core, "FINITE_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
     build, shape, name = FLOAT_ARRAYS[taker]
     a = np.zeros(shape)
     build(a)
@@ -154,6 +157,44 @@ def test_every_float_array_is_the_core_finiteness_rule(monkeypatch, taker, bad, 
         a[r, r % shape[1]] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(name(rows[0]))} is not finite$"):
         build(a)
+
+
+@pytest.mark.parametrize("entries", [1, 7, core.BLOCK_ENTRIES], ids=["1", "7", "default"])
+def test_every_blocked_pass_gives_the_same_bits_and_messages_at_any_block_size(
+    monkeypatch, entries
+):
+    """The finiteness rule, the symmetry check, ``gather``, the ``W`` build in both
+    weight modes and ``_nearest``, each against an oracle that reads whole arrays:
+    one-row blocks, blocks of 2 rows and tiles of side 2 with a partial last one,
+    and the default, where every array here is one block."""
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(5)
+    sizes = (1, 5, 3, 7, 3)  # m = 19
+    inst = ProblemInstance(
+        points=tuple(rng.normal(size=(s, 2)) for s in sizes),
+        features=tuple(rng.normal(size=(s, 3)) for s in sizes),
+    )
+    a = rng.normal(size=(19, 3))
+    assert core.finite_extremes(a, str) == (a.min(), a.max())
+    a[[12, 15], 1] = np.nan
+    with pytest.raises(ValueError, match="^row 12 is not finite$"):
+        core.finite_extremes(a, lambda r: f"row {r}")
+    for mode in kernels.WEIGHT_MODES:
+        w = build_similarity(inst, KernelConfig(sigma=0.8, weight_mode=mode))
+        want = pairwise_similarity(inst, 0.8, mode)
+        assert np.array_equal(w.data.view(np.int64), want.view(np.int64))
+    u = random_init(w.index, 9, seed=1)
+    order, starts, occupied = u.slot_runs
+    want = unblocked_gather(w.data, u.assignment, u.d)[:, occupied]
+    assert np.array_equal(w.gather(order, starts).view(np.int64), want.view(np.int64))
+    data = w.data.copy()
+    data[14, 18] += 0.5  # objects 3 and 4, in the last column of tiles
+    with pytest.raises(ValueError, match="^similarity matrix must be exactly symmetric$"):
+        SimilarityMatrix(data, w.index)
+    for f in inst.features:
+        dist = cdist(f, f)
+        want = (dist + np.diag(np.full(len(f), np.inf))).min(axis=1)
+        assert np.array_equal(kernels._nearest(dist), want)
 
 
 def _problem(k=2, **changes):
@@ -341,8 +382,11 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="similarity matrix row 1 is not finite"):
             SimilarityMatrix(data=w, index=self.index)
 
-    def test_non_finite_entry_beyond_the_first_row_block_is_named(self):
-        # At m = 300 rows are checked 218 at a time; both bad rows sit in the second block.
+    def test_non_finite_entry_beyond_the_first_row_block_is_named(self, monkeypatch):
+        # Blocks of 2^16 entries check 218 rows at a time at m = 300, so both bad
+        # rows sit in the second block.
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", 1 << 16)
+        assert core.block_rows(300) == 218
         index = BlockIndex((280, 20))
         w = np.zeros((300, 300))
         w[290, 1] = w[1, 290] = 0.5

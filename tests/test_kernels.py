@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from hippi import kernels
+from hippi import core, kernels
 from hippi.cli import bench_instance
 from hippi.core import BlockIndex, MultiAdjacency, ProblemInstance
 from hippi.kernels import (
-    BLOCK_ROWS,
     DegenerateGeometryError,
     KernelConfig,
     assert_psd,
@@ -89,7 +89,8 @@ class TestBuildSimilarity:
             monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(workers)))
         rng = np.random.default_rng(17)
         sizes = (1, 62, 1, 70, 1, 1, 50, 29)  # m = 215; block edges at 64, 128, 192
-        assert sum(sizes) > 3 * BLOCK_ROWS
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", 64 * sum(sizes))
+        assert core.block_rows(sum(sizes)) == 64
         inst = ProblemInstance(
             points=tuple(rng.normal(size=(s, 2)) for s in sizes),
             features=tuple(rng.normal(size=(s, 6)) for s in sizes),
@@ -263,11 +264,57 @@ class TestBuildAdjacency:
         with pytest.raises(DegenerateGeometryError, match=message):
             build_adjacency(inst, KernelConfig(mu=5e-324))
 
+    @pytest.mark.parametrize("source, mu, scale, sigma_a", [
+        ("coordinates", 1.0, "inf", "inf"),
+        ("distances", 1.0, "inf", "1e+200"),
+        ("mu", 1e308, "inf", "1.0"),
+        ("coincident", 1e308, "0", "0.0"),
+    ])
+    def test_scale_that_overflows_is_degenerate_naming_the_object(
+        self, source, mu, scale, sigma_a
+    ):
+        """``2 sigma_A^2 mu`` is inf for object 1: its distances overflow (coordinates
+        of 1e155), are given as 1e200, or ``mu`` is 1e308.  With coincident points
+        and ``mu`` = 1e308 it is 0, not the NaN of ``inf * 0``.  The single point of
+        object 0 has an infinite ``sigma_A`` too, and its kernel stays ``[[1]]``."""
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        far = np.full((1, 2), 1e155)
+        points = {"coordinates": line * 1e155, "coincident": np.zeros((3, 2))}
+        inst = ProblemInstance(
+            points=(far, points.get(source, line)),
+            features=(np.zeros((1, 1)), np.zeros((3, 1))),
+            distances=(np.zeros((1, 1)), cdist(line, line) * 1e200)
+            if source == "distances" else None,
+        )
+        message = f"object 1: adjacency scale is {scale} (mu={mu}, sigma_A={sigma_a})"
+        with pytest.raises(DegenerateGeometryError, match=f"^{re.escape(message)}$"):
+            build_adjacency(inst, KernelConfig(mu=mu))
+        alone = ProblemInstance(points=(far, line), features=inst.features)
+        assert np.array_equal(build_adjacency(alone, KernelConfig()).blocks[0], [[1.0]])
+
+    def test_large_mu_with_a_small_sigma_a_is_a_finite_scale(self):
+        """``2 sigma_A^2 mu`` = 2e288 for ``sigma_A`` = 1e-10 and ``mu`` = 1e308, though
+        ``2 mu`` alone overflows: the kernel is built, every entry rounding to 1."""
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]) * 1e-10
+        inst = ProblemInstance(points=(line,), features=(np.zeros((3, 1)),))
+        a = build_adjacency(inst, KernelConfig(mu=1e308))
+        assert np.array_equal(a.blocks[0], np.ones((3, 3)))
+
     def test_quotient_that_overflows_is_a_silent_zero(self):
         # 2 mu sigma_A^2 is a subnormal here, so every off-diagonal quotient overflows to -inf.
         inst = make_instance(np.random.default_rng(3))
         for block in build_adjacency(inst, KernelConfig(mu=1e-322)).blocks:
             assert np.array_equal(block, np.eye(len(block)))
+
+    def test_distance_whose_square_overflows_is_a_silent_zero(self):
+        """A given distance of 1e200 from three points 1 apart: ``sigma_A`` is 1,
+        and the kernel entries at that distance are 0, with no warning."""
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        dist = cdist(line, line)
+        dist[3, :3] = dist[:3, 3] = 1e200
+        inst = ProblemInstance(points=(line,), features=(line,), distances=(dist,))
+        a = build_adjacency(inst, KernelConfig()).blocks[0]
+        assert np.array_equal(a[3], [0.0, 0.0, 0.0, 1.0])
 
     def test_coincident_points_rejected(self):
         inst = ProblemInstance(

@@ -104,7 +104,7 @@ def test_row_blocked_gather_is_bit_identical_to_one_pass(monkeypatch, slots):
     rng = np.random.default_rng(slots)
     # One point per object, so any slot may hold several points.
     index = BlockIndex((1,) * (slots + 40))
-    monkeypatch.setattr(core, "GATHER_ENTRIES", 32 * index.m)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 32 * index.m)
     w = uniform_similarity(rng, index)
     d = slots + 7  # at least seven slots stay empty
     occupied = rng.choice(d, size=slots, replace=False)
@@ -124,7 +124,7 @@ def test_a_slot_column_depends_only_on_its_own_members(monkeypatch):
     bit for bit."""
     rng = np.random.default_rng(61)
     index = BlockIndex((1,) * 150)
-    monkeypatch.setattr(core, "GATHER_ENTRIES", 16 * index.m)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 16 * index.m)
     w = uniform_similarity(rng, index)
     d = 40
     kept = rng.choice(index.m, size=50, replace=False)
