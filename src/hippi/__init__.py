@@ -6,7 +6,6 @@ from hippi.baselines import (
     pairwise_lap_matchings,
     random_init,
     spectral_sync,
-    vote_similarity,
 )
 from hippi.core import (
     OUTLIER,
@@ -88,6 +87,5 @@ __all__ = [
     "twin_prototype_instance",
     "universe_size",
     "verify_cycle_consistency",
-    "vote_similarity",
     "__version__",
 ]

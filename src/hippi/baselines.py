@@ -2,8 +2,8 @@
 
 Spectral synchronisation turns a (possibly cycle-inconsistent) set of pairwise
 matchings into a consistent one: stack all pairwise matching matrices into one
-``m x m`` block matrix, embed every point through its top eigenvectors, and
-re-read assignments off the embedding.  When the input is exactly consistent
+sparse ``m x m`` block matrix, embed every point through its top eigenvectors,
+and re-read assignments off the embedding.  When the input is exactly consistent
 with a planted assignment the block matrix has rank at most ``d`` and the
 embedding reproduces it; under noise the truncated spectrum acts as a global
 average over all objects.
@@ -17,6 +17,8 @@ the stacked scores onto the assignment set, one LAP per object.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import aslinearoperator, eigsh
 
 from hippi.assignment import lap_exact, project_to_universe
 from hippi.core import (
@@ -24,6 +26,7 @@ from hippi.core import (
     PairwiseMatchingSet,
     SimilarityMatrix,
     UniverseAssignment,
+    as_integer,
 )
 
 
@@ -52,31 +55,38 @@ def pairwise_lap_matchings(w: SimilarityMatrix) -> PairwiseMatchingSet:
     return PairwiseMatchingSet(targets=targets, index=idx)
 
 
-def vote_similarity(x: PairwiseMatchingSet) -> SimilarityMatrix:
-    """Reinterpret binary pairwise matchings as a 0/1 similarity matrix.
+def _lanczos_top(s: csr_array, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` eigenpairs of the symmetric ``s`` largest in magnitude, by ARPACK's Lanczos.
 
-    Each cross-object entry is 1 exactly where the pairwise matcher voted for
-    that correspondence; diagonal blocks are dropped.  Useful for running the
-    power-iteration solver on the same information a synchronisation baseline
-    consumes, with the geometric term as the only extra signal.
+    Lanczos can miss copies of a repeated eigenvalue (a match matrix has one
+    per set of points that all objects match alike), so the top eigenpair left
+    after deflating the found ones replaces the weakest while it is larger by
+    over 1e-9 of the largest.  A fixed start vector makes reruns repeat their bits.
     """
-    data = x.to_matrix()
-    data[x.index.owner[:, None] == x.index.owner] = 0.0
-    data.setflags(write=False)
-    return SimilarityMatrix(data=data, index=x.index)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, s.shape[0])
+    vals, vecs = eigsh(s, k=n, which="LM", v0=v0)
+    while True:
+        rest = aslinearoperator(s) - aslinearoperator(vecs * vals) @ aslinearoperator(vecs.T)
+        lam, vec = eigsh(rest, k=1, which="LM", v0=v0)
+        weakest = int(np.argmin(np.abs(vals)))
+        if abs(lam[0]) <= abs(vals[weakest]) + 1e-9 * np.abs(vals).max():
+            return vals, vecs
+        vals[weakest], vecs[:, weakest] = lam[0], vec[:, 0]
 
 
 def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
     """Synchronise pairwise matchings through a rank-``d`` spectral embedding.
 
-    The block matrix (diagonal forced to identity) is factored as
-    ``V diag(lam) V^T``; points are embedded as the top-``d`` eigenvector rows
-    scaled by ``sqrt(|lam|)``, scored against the anchor object's rows, and
-    projected back onto universe assignments.  The output is always
-    cycle-consistent; on input expanded from a planted assignment whose slots
-    all appear in the anchor object, it reproduces the input exactly.  Input
-    whose ``(j, i)`` map is not the mirror image of its ``(i, j)`` map is
-    rejected with a ``ValueError`` naming the pair.
+    The block matrix (diagonal forced to identity) is ``O(m k)`` CSR entries.
+    Its top-``d`` eigenpairs ``V diag(lam) V^T`` by magnitude come from
+    Lanczos when ``10 min(d, m) <= m`` (where it measured faster), else from
+    a dense ``eigh``; points are embedded as the eigenvector rows scaled by
+    ``sqrt(|lam|)``, scored against the anchor object's rows, and projected
+    back onto universe assignments.  The output is always cycle-consistent;
+    on input expanded from a planted assignment whose slots all appear in
+    the anchor object, it reproduces the input exactly.  Input whose
+    ``(j, i)`` map is not the mirror image of its ``(i, j)`` map is rejected
+    with a ``ValueError`` naming the pair.
     """
     idx = x.index
     # A cross match that is not matched straight back breaks the mirror of
@@ -86,12 +96,18 @@ def spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
         pair = np.minimum(idx.owner[g], j) * idx.k + np.maximum(idx.owner[g], j)
         i, j = divmod(int(pair.min()), idx.k)
         raise ValueError(f"maps ({i},{j}) and ({j},{i}) are not mirror images")
-    s = x.to_matrix()
-    for i in range(idx.k):
-        sl = idx.slice_of(i)
-        s[sl, sl] = np.eye(idx.sizes[i])
-    vals, vecs = np.linalg.eigh(s)
-    top = np.argsort(-np.abs(vals), kind="stable")[: min(d, idx.m)]
+    d = idx.universe(d)
+    g, j, h = x.global_matches()
+    cross = j != idx.owner[g]
+    rows = np.r_[g[cross], np.arange(idx.m)]  # the cross matches, then the identity
+    cols = np.r_[h[cross], np.arange(idx.m)]
+    s = csr_array((np.ones(rows.size), (rows, cols)), shape=(idx.m, idx.m))
+    n = min(d, idx.m)
+    if 10 * n <= idx.m:
+        vals, vecs = _lanczos_top(s, n)
+    else:
+        vals, vecs = np.linalg.eigh(s.toarray())
+    top = np.argsort(-np.abs(vals), kind="stable")[:n]
     emb = vecs[:, top] * np.sqrt(np.abs(vals[top]))
     anchor = int(np.argmax(idx.sizes))
     anchor_rows = emb[idx.slice_of(anchor)]
@@ -108,7 +124,7 @@ def random_init(index: BlockIndex, d: int, seed=0) -> UniverseAssignment:
     growing with ``d``.
     """
     d = index.universe(d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", at_least=0))
     cols = np.concatenate([rng.choice(d, size=s, replace=False) for s in index.sizes])
     cols.setflags(write=False)
     return UniverseAssignment(assignment=cols, d=d, index=index)

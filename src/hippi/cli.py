@@ -75,21 +75,18 @@ class RunConfig:
     generator: GenConfig | None = None
 
     def __post_init__(self):
-        integer_fields(self, ("points_per_object", "bench_iters", "seed"), ("d",))
+        integer_fields(self, ("points_per_object", "bench_iters", "seed"), ("d",),
+                       at_least={"points_per_object": 1, "bench_iters": 1, "seed": 0})
         sizes = tuple(as_integer(s, f"sizes[{i}]") for i, s in enumerate(self.sizes))
         object.__setattr__(self, "sizes", sizes)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.init not in INIT_METHODS:
             raise ValueError(f"init must be one of {INIT_METHODS}, got {self.init!r}")
-        if self.bench_iters < 1:
-            raise ValueError(f"bench_iters must be >= 1, got {self.bench_iters}")
         if not self.sizes or min(self.sizes) < 1:
             raise ValueError(
                 f"sizes must be a non-empty list of positive integers, got {self.sizes}"
             )
-        if self.points_per_object < 1:
-            raise ValueError(f"points_per_object must be >= 1, got {self.points_per_object}")
 
 
 def _config_file(path: str | None) -> dict:

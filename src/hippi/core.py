@@ -69,28 +69,30 @@ def _exactly_symmetric(a: np.ndarray) -> bool:
     )
 
 
-def as_integer(value, what: str) -> int:
-    """``value`` as an ``int``; a bool, a fractional number or a non-number raises.
+def as_integer(value, what: str, at_least=None) -> int:
+    """``value`` as an ``int``; a bool, fraction or non-number, or one below ``at_least``, raises.
 
     The ``ValueError`` names ``what``.  An integral float such as ``2.0`` is
     accepted, since JSON writers may emit one.
     """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral and not (isinstance(value, (float, np.floating)) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise ValueError(f"{what} must be >= {at_least}, got {int(value)}")
+    return int(value)
 
 
-def integer_fields(config, required=(), optional=()) -> None:
+def integer_fields(config, required=(), optional=(), at_least=None) -> None:
     """Pass the named fields of a frozen dataclass through :func:`as_integer`.
 
-    A field named in ``optional`` may also be ``None``.
+    A field in ``optional`` may also be ``None``; ``at_least`` maps a field to its least value.
     """
+    bounds = at_least or {}
     for name in (*required, *optional):
         value = getattr(config, name)
         if value is not None or name in required:
-            object.__setattr__(config, name, as_integer(value, name))
+            object.__setattr__(config, name, as_integer(value, name, bounds.get(name)))
 
 
 def as_float(value, what: str) -> float:
@@ -247,6 +249,7 @@ class ProblemInstance:
     __eq__ = _fields_equal
 
     def __post_init__(self):
+        integer_fields(self, optional=("seed",), at_least={"seed": 0})
         points = tuple(_owned(p, np.float64) for p in self.points)
         features = tuple(_owned(f, np.float64) for f in self.features)
         if len(points) == 0:
@@ -526,13 +529,6 @@ class PairwiseMatchingSet:
             hit &= np.arange(self.k) > self.index.owner[:, None]
         g, j = np.nonzero(hit)
         return g, j, np.array(self.index.offsets)[j] + self.targets[g, j]
-
-    def to_matrix(self) -> np.ndarray:
-        """The binary ``m x m`` block matrix of all k^2 maps (small instances only)."""
-        g, _, h = self.global_matches()
-        x = np.zeros((self.index.m, self.index.m))
-        x[g, h] = 1.0
-        return x
 
     def mirrored(self) -> np.ndarray:
         """``(m, k)`` mask of the matches whose target is matched straight back."""

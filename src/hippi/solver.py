@@ -53,9 +53,7 @@ class SolverConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        integer_fields(self, ("max_iters",))
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        integer_fields(self, ("max_iters",), at_least={"max_iters": 1})
 
 
 @dataclass(frozen=True)

@@ -44,22 +44,17 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        integer_fields(self, ("k", "d_true", "feature_dim", "seed"), ("feature_prototypes",))
+        integer_fields(self, ("k", "d_true", "feature_dim", "seed"), ("feature_prototypes",),
+                       at_least=dict(k=1, d_true=1, feature_dim=1, seed=0, feature_prototypes=1))
         float_fields(
             self, ("visibility", "coord_noise_sigma", "feature_noise_sigma", "outlier_fraction")
         )
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.d_true < 1:
-            raise ValueError(f"d_true must be >= 1, got {self.d_true}")
         if not 0.0 < self.visibility <= 1.0:
             raise ValueError(f"visibility must be in (0, 1], got {self.visibility}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
         if self.coord_noise_sigma < 0 or self.feature_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.transform_family not in TRANSFORM_FAMILIES:
             raise ValueError(
                 f"transform_family must be one of {TRANSFORM_FAMILIES}"
@@ -69,8 +64,6 @@ class GenConfig:
             if len(rect) != 4 or any(not 0.0 <= v <= 1.0 for v in rect):
                 raise ValueError("occlusion_rect must be four fractions in [0, 1]")
             object.__setattr__(self, "occlusion_rect", rect)
-        if self.feature_prototypes is not None and self.feature_prototypes < 1:
-            raise ValueError("feature_prototypes must be >= 1 when given")
 
 
 def _draw_transform(rng: np.random.Generator, family: str):

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from hippi.assignment import project_to_universe
 from hippi.core import (
     BlockIndex,
     MultiAdjacency,
@@ -57,6 +58,50 @@ def slots_of(u: UniverseAssignment, i: int) -> np.ndarray:
 def block_map(x: PairwiseMatchingSet, i: int, j: int) -> np.ndarray:
     """The map ``(i, j)``: each point of object ``i``'s match in ``j``, as a read-only view."""
     return x.targets[x.index.slice_of(i), j]
+
+
+def to_matrix(x: PairwiseMatchingSet) -> np.ndarray:
+    """The binary ``m x m`` block matrix of all k^2 maps, one entry per match."""
+    g, _, h = x.global_matches()
+    dense = np.zeros((x.index.m, x.index.m))
+    dense[g, h] = 1.0
+    return dense
+
+
+def vote_similarity(x: PairwiseMatchingSet) -> SimilarityMatrix:
+    """Binary pairwise matchings as a 0/1 similarity matrix: the cross-object votes.
+
+    Each cross-object entry is 1 exactly where the pairwise matcher voted for
+    that correspondence; diagonal blocks are dropped.  It runs the
+    power-iteration solver on the information a synchronisation baseline
+    consumes, with the geometric term as the only extra signal.
+    """
+    data = to_matrix(x)
+    data[x.index.owner[:, None] == x.index.owner] = 0.0
+    return SimilarityMatrix(data=data, index=x.index)
+
+
+def dense_spectral_sync(x: PairwiseMatchingSet, d: int) -> UniverseAssignment:
+    """``spectral_sync`` by a dense ``eigh`` of the whole ``m x m`` block matrix.
+
+    The block matrix is :func:`to_matrix` with every diagonal block set to
+    the identity; the top-``d`` eigenpairs by magnitude embed the points,
+    which are scored against the largest object's rows and projected.
+    Mirror checks are left to the library.
+    """
+    idx = x.index
+    s = to_matrix(x)
+    for i in range(idx.k):
+        sl = idx.slice_of(i)
+        s[sl, sl] = np.eye(idx.sizes[i])
+    vals, vecs = np.linalg.eigh(s)
+    top = np.argsort(-np.abs(vals), kind="stable")[: min(d, idx.m)]
+    emb = vecs[:, top] * np.sqrt(np.abs(vals[top]))
+    anchor = int(np.argmax(idx.sizes))
+    anchor_rows = emb[idx.slice_of(anchor)]
+    return project_to_universe(
+        emb @ anchor_rows.T, idx, columns=np.arange(idx.sizes[anchor]), d=d
+    )
 
 
 def dense_expand(u: UniverseAssignment) -> np.ndarray:

@@ -1,8 +1,8 @@
 """End-to-end acceptance suite: ten criteria, one printed verdict line each.
 
 Each test evaluates one numbered criterion on fixed seeds, appends a
-``ACCEPTANCE nn <name>: PASS/FAIL (<detail>)`` line to the shared log (echoed
-after the run), and then asserts.  Expensive shared suites are session-scoped
+``ACCEPTANCE nn <name>: PASS/FAIL (<detail>)`` line, and any indented note
+lines beneath it, to the shared log (echoed after the run), and then asserts.  Expensive shared suites are session-scoped
 fixtures so the solver runs once for the criteria that share instances.
 """
 
@@ -13,12 +13,7 @@ import pytest
 
 from hippi import cli, io
 from hippi.assignment import lap_exact
-from hippi.baselines import (
-    pairwise_lap_matchings,
-    random_init,
-    spectral_sync,
-    vote_similarity,
-)
+from hippi.baselines import pairwise_lap_matchings, random_init, spectral_sync
 from hippi.cli import RunConfig, bench_ladder, fit_scaling_exponent
 from hippi.core import BlockIndex, UniverseAssignment, expand
 from hippi.kernels import KernelConfig, assert_psd, build_adjacency, build_similarity
@@ -39,15 +34,18 @@ from helpers import (
     integer_similarity,
     random_assignment,
     to_dense,
+    vote_similarity,
 )
 
 RELTOL = 1e-9
 
 
-def _verdict(log, number, name, ok, detail):
-    line = f"ACCEPTANCE {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
-    log.append(line)
-    print(line)
+def _verdict(log, number, name, ok, detail, notes=()):
+    """Log the verdict line, then each of ``notes`` indented beneath it; return ``ok``."""
+    lines = [f"ACCEPTANCE {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"]
+    lines += [f"    {note}" for note in notes]
+    log.extend(lines)
+    print("\n".join(lines))
     return ok
 
 
@@ -183,7 +181,7 @@ def test_05_restarts_reach_global_optimum_on_tiny_instances(acceptance_log):
 
 def test_06_noiseless_instances_recover_exactly(acceptance_log):
     kcfg = KernelConfig(sigma=2.0, mu=1.0)
-    hits = 0
+    hits, misses = 0, []
     for seed in range(100):
         rng = np.random.default_rng(seed)
         cfg = GenConfig(
@@ -200,43 +198,58 @@ def test_06_noiseless_instances_recover_exactly(acceptance_log):
         d = max(p.sizes)
         u0 = random_init(p.index, d, seed=seed)
         u, _ = hippi_solve(op, u0, SolverConfig(max_iters=200))
-        hits += int(fscore(u, p.ground_truth).fscore == 1.0)
+        score = fscore(u, p.ground_truth).fscore
+        hits += int(score == 1.0)
+        if score != 1.0:
+            misses.append(f"miss: seed={seed} k={cfg.k} d_true={cfg.d_true} fscore={score:.3f}")
     ok = hits >= 95
     assert _verdict(
         acceptance_log, 6, "noiseless recovery",
-        ok, f"{hits}/100 seeds recovered the planted matching exactly (need 95)",
+        ok, f"{hits}/100 seeds recovered the planted matching exactly (need 95)", misses,
     )
 
 
 def test_07_position_context_beats_geometry_blind_voting(acceptance_log):
+    """The verdict compares at feature noise 0.5; 0.3 and 0.4 are logged beside it.
+
+    Position context loses at 0.3, where voting alone is already good.
+    """
     kcfg = KernelConfig(sigma=0.5, mu=3.0)
-    refined_scores, spectral_scores = [], []
-    for seed in range(20):
-        p = twin_prototype_instance(
-            16, 10,
-            separation=0.8,
-            feature_noise_sigma=0.5,
-            outlier_fraction=0.3,
-            feature_dim=8,
-            seed=seed,
+    notes = []
+    for noise in (0.3, 0.4, 0.5):
+        refined_scores, spectral_scores = [], []
+        for seed in range(20):
+            p = twin_prototype_instance(
+                16, 10,
+                separation=0.8,
+                feature_noise_sigma=noise,
+                outlier_fraction=0.3,
+                feature_dim=8,
+                seed=seed,
+            )
+            w = build_similarity(p, kcfg)
+            a = assert_psd(build_adjacency(p, kcfg)).adjacency
+            d = max(p.sizes)
+            votes = pairwise_lap_matchings(w)
+            baseline = spectral_sync(votes, d)
+            op = WbarOperator(vote_similarity(votes), a)
+            refined, _ = hippi_solve(op, baseline, SolverConfig(max_iters=200))
+            spectral_scores.append(fscore(baseline, p.ground_truth).fscore)
+            refined_scores.append(fscore(refined, p.ground_truth).fscore)
+        mean_refined = float(np.mean(refined_scores))
+        mean_spectral = float(np.mean(spectral_scores))
+        wins = sum(r > s for r, s in zip(refined_scores, spectral_scores))
+        notes.append(
+            f"noise={noise:.2f}: spectral={mean_spectral:.4f} refined={mean_refined:.4f} "
+            f"margin={mean_refined - mean_spectral:+.4f} wins={wins}/20"
         )
-        w = build_similarity(p, kcfg)
-        a = assert_psd(build_adjacency(p, kcfg)).adjacency
-        d = max(p.sizes)
-        votes = pairwise_lap_matchings(w)
-        baseline = spectral_sync(votes, d)
-        op = WbarOperator(vote_similarity(votes), a)
-        refined, _ = hippi_solve(op, baseline, SolverConfig(max_iters=200))
-        spectral_scores.append(fscore(baseline, p.ground_truth).fscore)
-        refined_scores.append(fscore(refined, p.ground_truth).fscore)
-    mean_refined = float(np.mean(refined_scores))
-    mean_spectral = float(np.mean(spectral_scores))
     ok = mean_refined > mean_spectral
     assert _verdict(
         acceptance_log, 7, "geometric refinement beats geometry-blind voting",
         ok,
         f"mean f-score {mean_refined:.4f} vs spectral {mean_spectral:.4f} "
         f"over 20 seeds",
+        notes,
     )
 
 

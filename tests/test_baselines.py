@@ -1,5 +1,7 @@
 """Baseline tests: independent pairwise LAPs, spectral synchronisation, inits."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from hippi.baselines import (
     pairwise_lap_matchings,
     random_init,
     spectral_sync,
-    vote_similarity,
 )
+from hippi.cli import bench_instance
 from hippi.core import (
     BlockIndex,
     PairwiseMatchingSet,
@@ -17,18 +19,22 @@ from hippi.core import (
     UniverseAssignment,
     expand,
 )
+from hippi.kernels import KernelConfig, build_similarity
+from hippi.synth import twin_prototype_instance
 
 from helpers import (
     PlainSimilarity,
     block,
     block_dense,
     brute_force_lap,
+    dense_spectral_sync,
     integer_similarity,
     pack_maps,
     random_assignment,
     slots_of,
     uniform_similarity,
     unpack_maps,
+    vote_similarity,
 )
 
 
@@ -160,6 +166,69 @@ def test_spectral_repairs_corrupted_blocks(seed):
     synced = spectral_sync(corrupted, d)
     after = pair_fscore(set(expand(synced).matched_pairs()), truth)
     assert after > before
+
+
+def _twin_votes():
+    """Votes whose eigenvalue 16 repeats 5 times; one plain ARPACK run finds only 4 copies."""
+    p = twin_prototype_instance(
+        16, 10, separation=0.8, feature_noise_sigma=0.3, outlier_fraction=0.3,
+        feature_dim=8, seed=9,
+    )
+    return pairwise_lap_matchings(build_similarity(p, KernelConfig(sigma=0.5, mu=3.0)))
+
+
+def _ladder_votes():
+    """Exact votes from the ladder: eigenvalue 50 repeats 20 times in 1000."""
+    p = bench_instance(1000, 20, 0)
+    return pairwise_lap_matchings(build_similarity(p, KernelConfig()))
+
+
+def _random_votes(sizes, seed):
+    index = BlockIndex(sizes=sizes)
+    return pairwise_lap_matchings(uniform_similarity(np.random.default_rng(seed), index))
+
+
+def _tie_at_the_cut():
+    """Exact votes whose 10th to 12th eigenvalues tie at 4, so ``d = 11`` cuts the tie.
+
+    Slots 0-8 sit in all 20 objects; slots 9, 10 and 11 each sit in 4
+    objects, and the anchor (object 0) holds 9 and 10.  Which of the tied
+    eigenvectors the cut keeps depends on the Lanczos start vector.
+    """
+    common = list(range(9))
+    objs = [common + [9, 10]] + [common + [9]] * 3 + [common + [10]] * 3
+    objs += [common + [11]] * 4 + [common] * 9
+    index = BlockIndex(sizes=tuple(len(o) for o in objs))
+    return expand(UniverseAssignment(assignment=np.concatenate(objs), d=12, index=index))
+
+
+@pytest.mark.parametrize(
+    "votes, d",
+    [
+        (_twin_votes, 13),  # m = 208: Lanczos
+        (_ladder_votes, 40),  # Lanczos; the top 40 also take 20 zero eigenvalues
+        (partial(_random_votes, (10,) * 10, 0), 10),  # m = 100: Lanczos, on the line
+        (partial(_random_votes, (10,) * 10, 0), 11),  # dense, just past the line
+        (partial(_random_votes, (3, 3, 2), 1), 6),  # m - 2: dense
+        (partial(_random_votes, (3, 3, 2), 1), 7),  # m - 1: ARPACK cannot take it
+    ],
+    ids=["twins", "ladder-1000", "lanczos-line", "dense-line", "m-2", "m-1"],
+)
+def test_spectral_matches_the_dense_reference(votes, d):
+    x = votes()
+    assert spectral_sync(x, d) == dense_spectral_sync(x, d)
+
+
+def test_spectral_reruns_repeat_their_bytes_in_one_process():
+    """ARPACK's own start vector changes from call to call; the fixed one does not."""
+    x = _tie_at_the_cut()
+    assert len({spectral_sync(x, 11).assignment.tobytes() for _ in range(8)}) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_random_init_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed must be (>= 0|an integer), got"):
+        random_init(BlockIndex(sizes=(2, 3)), 3, seed=seed)
 
 
 def test_random_init_is_deterministic_and_valid():

@@ -688,6 +688,36 @@ class TestBench:
         assert cli.fit_scaling_exponent(ms, secs) == pytest.approx(2.17, abs=1e-9)
 
 
+class TestSeeds:
+    """A seed is a non-negative integer, checked by the type that owns it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--k", "3", "--d-true", "6", "--seed", "-1"],
+        ["solve", "--problem", "{problem}", "--seed", "-1"],
+        ["solve", "--problem", "{problem}", "--seed", "-1", "--init", "greedy"],
+        ["bench", "--sizes", "40", "--points-per-object", "4", "--iters", "1", "--seed", "-3"],
+    ], ids=["generate", "solve-random", "solve-greedy", "bench"])
+    def test_negative_seed_is_data_error_naming_seed(self, problem_path, tmp_path, capsys, argv):
+        argv = [problem_path if a == "{problem}" else a for a in argv]
+        assert run(argv + ["--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert re.search(r"data error: seed must be >= 0, got -[13]$", capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("not a seed", "seed must be an integer, got 'not a seed'"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["not-an-integer", "negative"])
+    def test_problem_file_with_a_bad_seed_is_data_error(
+        self, problem_path, tmp_path, capsys, value, message
+    ):
+        doc = json.loads(problem_path.read_text())
+        doc["seed"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["solve", "--problem", bad, "--out", tmp_path / "x"]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         assert run(["solve", "--bogus"]) == cli.EXIT_USAGE

@@ -164,6 +164,20 @@ class TestProblemFiles:
         path = self.with_sizes(problem, tmp_path, [float(s) for s in problem.sizes])
         assert io.load_problem(path).sizes == problem.sizes
 
+    @pytest.mark.parametrize("value, message", [
+        ("not a seed", "seed must be an integer, got 'not a seed'"),
+        (2.5, "seed must be an integer, got 2.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["not-an-integer", "fractional", "negative"])
+    def test_bad_seed_rejected_naming_it(self, problem, tmp_path, value, message):
+        path = tmp_path / "problem.json"
+        io.save_problem(problem, path)
+        doc = json.loads(path.read_text())
+        doc["seed"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            io.load_problem(path)
+
     def test_missing_sizes_rejected_as_malformed(self, problem, tmp_path):
         path = tmp_path / "problem.json"
         io.save_problem(problem, path)

@@ -26,6 +26,7 @@ from helpers import (
     pack_maps,
     random_assignment,
     slots_of,
+    to_matrix,
     unpack_maps,
 )
 
@@ -228,7 +229,7 @@ def test_fscore_rejects_other_types():
     rng = np.random.default_rng(13)
     u = random_assignment(rng, (3, 3), 3)
     truth = [slots_of(u, i) for i in range(2)]
-    for other in (u.assignment, expand(u).to_matrix(), expand(u).targets):
+    for other in (u.assignment, to_matrix(expand(u)), expand(u).targets):
         with pytest.raises(TypeError, match="cannot score"):
             fscore(other, truth)
 
